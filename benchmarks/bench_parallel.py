@@ -11,10 +11,6 @@ Measures, on this machine:
 2. **n=256 no-regression cell** — small inputs must take the serial
    path (the size heuristic), so the parallel backend at 4 threads stays
    within noise of plain fused.
-3. **Process-parallel evaluation** — ``evaluate_task_parallel`` wall
-   clock at 1 vs 2 workers on a small classification sweep (the
-   multiprocessing path trades ~1s of spawn+import per worker for
-   GIL-free scaling, so it only pays off on long sweeps).
 
 Run from the repo root::
 
@@ -44,11 +40,6 @@ from common import bench_meta, emit_payload, parse_bench_args
 import repro.kernels as K
 from repro.autograd.tensor import Tensor
 from repro.cluster.kmeans import batched_kmeans
-from repro.data.dataset import ArrayDataset
-from repro.model import RitaConfig, RitaModel
-from repro.serve import ModelArtifact
-from repro.tasks import ClassificationTask
-from repro.train import evaluate_task_parallel
 
 BATCH = 2
 HEADS = 4
@@ -180,43 +171,6 @@ def bench_small_input_no_regression(n: int = 256, repeats: int = 5) -> dict:
     }
 
 
-def bench_multiprocessing_eval(
-    n_samples: int = 64, length: int = 64, repeats: int = 1
-) -> dict:
-    """evaluate_task_parallel wall clock: 1 worker (in-process) vs 2."""
-    rng = np.random.default_rng(9)
-    config = RitaConfig(
-        input_channels=2, max_len=length, dim=32, n_layers=2, n_heads=4,
-        attention="vanilla", dropout=0.0, n_classes=3,
-    )
-    model = RitaModel(config, rng=rng).eval()
-    artifact = ModelArtifact.from_model(model)
-    dataset = ArrayDataset(
-        x=rng.standard_normal((n_samples, length, 2)),
-        y=rng.integers(0, 3, size=n_samples),
-    )
-    task = ClassificationTask()
-
-    def run(workers):
-        return evaluate_task_parallel(
-            artifact, task, dataset, batch_size=8, num_workers=workers, seed=0
-        )
-
-    serial_seconds = _time(lambda: run(1), repeats=repeats, warmup=0)
-    two_worker_seconds = _time(lambda: run(2), repeats=repeats, warmup=0)
-    return {
-        "n_samples": n_samples,
-        "length": length,
-        "serial_seconds": serial_seconds,
-        "two_worker_seconds": two_worker_seconds,
-        "speedup_2_workers": serial_seconds / two_worker_seconds,
-        "note": (
-            "includes ~1s spawn+import per worker; the mp path is for "
-            "long sweeps, not single small evaluations"
-        ),
-    }
-
-
 def main(argv: list[str] | None = None) -> dict:
     args = parse_bench_args(__doc__, argv)
     meta = bench_meta(
@@ -227,8 +181,7 @@ def main(argv: list[str] | None = None) -> dict:
                   "n_groups": N_GROUPS},
     )
     if args.smoke:
-        # The mp-eval arm costs ~1s of spawn+import per worker; the smoke
-        # tier skips it and shrinks the kernel cells to seconds.
+        # The smoke tier shrinks the kernel cells to seconds.
         payload = {
             "meta": meta,
             "thread_sweep": bench_thread_sweep(n=128, repeats=1),
@@ -245,7 +198,6 @@ def main(argv: list[str] | None = None) -> dict:
         "meta": meta,
         "thread_sweep": bench_thread_sweep(),
         "small_input_no_regression": bench_small_input_no_regression(),
-        "multiprocessing_eval": bench_multiprocessing_eval(),
     }
 
     sweep = payload["thread_sweep"]
@@ -259,9 +211,6 @@ def main(argv: list[str] | None = None) -> dict:
     small = payload["small_input_no_regression"]
     print(f"n={small['n']} overhead ratio: {small['overhead_ratio']:.3f} "
           f"(bound {small['max_overhead_ratio']}; ok={small['within_bounds']})")
-    mp = payload["multiprocessing_eval"]
-    print(f"mp eval: serial {mp['serial_seconds']:.2f}s vs 2 workers "
-          f"{mp['two_worker_seconds']:.2f}s")
     emit_payload(payload, "parallel", args.out, smoke=False)
     return payload
 

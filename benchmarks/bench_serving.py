@@ -7,9 +7,9 @@ with ``N = 64`` — the grouping bench's acceptance cell):
 
 * **Micro-batching** (`MicroBatcher` + `InferenceEngine`): requests/sec
   and per-request p50/p95 latency versus micro-batch size, against the
-  naive one-request-at-a-time loop (the legacy
-  ``model.predict_logits(x[None])`` serving pattern: every request is a
-  batch-of-one forward and K-means reclusters on every call).  Two
+  naive one-request-at-a-time loop (``engine.classify(series)`` on each
+  ``(L, m)`` request: every request is a batch-of-one forward and
+  K-means reclusters on every call).  Two
   request regimes are reported: ``similar`` — the paper's serving regime
   (a fleet of near-identical signals, e.g. one sensor type across
   users), where the engine's serving-time grouping policy

@@ -65,7 +65,7 @@ from repro.tasks import (
     cluster_embeddings,
     extract_embeddings,
 )
-from repro.train import History, Trainer, evaluate_task, evaluate_task_parallel
+from repro.train import History, Trainer, evaluate_task
 from repro.optim import SGD, Adam, AdamW
 from repro.data import (
     ArrayDataset,
@@ -131,7 +131,6 @@ __all__ = [
     "History",
     "Trainer",
     "evaluate_task",
-    "evaluate_task_parallel",
     "SGD",
     "Adam",
     "AdamW",

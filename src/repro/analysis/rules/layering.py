@@ -11,8 +11,8 @@ imports" contract).
 Each module prefix below is assigned a rank; a *module-level* import may
 only target prefixes of the same or lower rank.  Imports inside a
 function body are **deferred** — executed per call, not at import time —
-and are the sanctioned escape hatch for intentional inversions (the
-deprecated ``RitaModel.predict`` shims importing the serve engine), so
+and are the sanctioned escape hatch for intentional inversions
+(``tasks.similarity.extract_embeddings`` importing the serve engine), so
 they are exempt from the rank check.  Edges listed in
 :data:`FORBIDDEN_EDGES` are architectural, not just ordering, and are
 rejected even when deferred.

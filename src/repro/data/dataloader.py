@@ -35,16 +35,6 @@ class DataLoader:
         that order, and the *batch order* is shuffled.  Padding waste per
         batch stays near zero while epoch composition still varies.
         Requires a dataset with a ``lengths`` attribute.
-    min_batch_size:
-        When set, a trailing remainder batch smaller than this is merged
-        into the previous batch instead of being yielded on its own (so
-        the last batch may hold up to ``batch_size + min_batch_size - 1``
-        samples).  The parallel kernel backend shards the leading batch
-        dimension across ``RITA_NUM_THREADS`` workers — a tail batch
-        smaller than the thread count would leave workers idle, so the
-        trainer passes ``min_batch_size=get_num_threads()`` when that
-        backend is active.  Ignored under ``drop_last`` (the remainder is
-        dropped outright) and when the epoch has a single batch.
     """
 
     def __init__(
@@ -56,7 +46,6 @@ class DataLoader:
         rng: np.random.Generator | None = None,
         collate_fn: Callable[[dict], dict] | None = None,
         bucket_by_length: bool = False,
-        min_batch_size: int | None = None,
     ) -> None:
         if batch_size < 1:
             raise ConfigError("batch_size must be >= 1")
@@ -65,17 +54,12 @@ class DataLoader:
                 "bucket_by_length requires a dataset with a 'lengths' attribute "
                 "(e.g. RaggedDataset)"
             )
-        if min_batch_size is not None and not 1 <= min_batch_size <= batch_size:
-            raise ConfigError(
-                f"min_batch_size must be in [1, batch_size], got {min_batch_size}"
-            )
         self.dataset = dataset
         self.batch_size = int(batch_size)
         self.shuffle = shuffle
         self.drop_last = drop_last
         self.collate_fn = collate_fn
         self.bucket_by_length = bool(bucket_by_length)
-        self.min_batch_size = None if min_batch_size is None else int(min_batch_size)
         self._rng = get_rng(rng)
         self._order: np.ndarray | None = None  # cached identity order
 
@@ -111,10 +95,6 @@ class DataLoader:
         """Index chunks for one epoch (one entry per yielded batch)."""
         if not self.bucket_by_length:
             order = self._epoch_order()
-            chunks = [
-                order[start : start + batch_size]
-                for start in range(0, len(order), batch_size)
-            ]
         else:
             lengths = np.asarray(self.dataset.lengths)
             if self.shuffle:
@@ -123,22 +103,12 @@ class DataLoader:
                 order = np.lexsort((self._rng.random(len(lengths)), lengths))
             else:
                 order = np.argsort(lengths, kind="stable")
-            chunks = [
-                order[start : start + batch_size]
-                for start in range(0, len(order), batch_size)
-            ]
+        chunks = [
+            order[start : start + batch_size]
+            for start in range(0, len(order), batch_size)
+        ]
         if self.drop_last:
             chunks = [c for c in chunks if len(c) == batch_size]
-        elif (
-            self.min_batch_size is not None
-            and len(chunks) >= 2
-            and len(chunks[-1]) < self.min_batch_size
-        ):
-            # Fold an unshardable tail into its neighbour (both come from
-            # adjacent positions of the carve order, so under
-            # bucket_by_length the merged batch stays length-homogeneous).
-            chunks[-2] = np.concatenate([chunks[-2], chunks[-1]])
-            chunks.pop()
         if self.bucket_by_length and self.shuffle:
             self._rng.shuffle(chunks)
         return chunks

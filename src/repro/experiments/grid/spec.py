@@ -183,9 +183,10 @@ SPEC_INDEX: dict[str, GridSpec] = {
             axes={"script": ("bench_parallel",)},
             base={"smoke": True},
             description=(
-                "Parallel-dispatch thread sweep via the bench_script "
-                "wrapper; run on a multicore machine for real scaling "
-                "(ROADMAP item 3)"
+                "Parallel-backend kernel dispatch via the bench_script "
+                "wrapper: group-attention fwd+bwd at 1/2/4 threads plus "
+                "the n=256 serial-fallback cell; thread scaling needs "
+                ">= 4 physical cores"
             ),
         ),
     )

@@ -33,10 +33,9 @@ reductions (``linear_backward``'s ``grad_w``/``grad_b``, layer norm's
 parameter grads) deliberately stay serial over the full batch so
 optimizer updates reduce in the fused order.
 
-Nested dispatch is safe: work running *on* a pool worker (e.g. the serve
-layer fanning chunks out over the same pool) executes kernels serially
-instead of re-submitting, so the pool cannot deadlock on itself and
-cores are never oversubscribed.
+Nested dispatch is safe: a kernel called *on* a pool worker executes
+serially instead of re-submitting, so the pool cannot deadlock on itself
+and cores are never oversubscribed.
 """
 
 from __future__ import annotations
@@ -89,12 +88,10 @@ def _get_executor(workers: int) -> ThreadPoolExecutor:
 def run_jobs(jobs) -> list:
     """Run callables on the shared kernel pool; returns their results in order.
 
-    The building block the serve layer reuses to fan request chunks out
-    over the same workers the kernels shard on (one pool, never
-    oversubscribed).  Falls back to inline serial execution when called
-    from a pool worker (deadlock guard), when the thread policy is 1, or
-    for a single job.  The first failing job's exception propagates;
-    later jobs still run to completion on the pool.
+    Falls back to inline serial execution when called from a pool worker
+    (deadlock guard), when the thread policy is 1, or for a single job.
+    The first failing job's exception propagates; later jobs still run
+    to completion on the pool.
     """
     jobs = list(jobs)
     if in_worker() or get_num_threads() <= 1 or len(jobs) <= 1:
@@ -156,7 +153,7 @@ class ParallelNumpyBackend(FusedNumpyBackend):
         return plan
 
     def snapshot(self) -> dict[str, int]:
-        """Cumulative dispatch counters (the trainer charges deltas)."""
+        """Cumulative dispatch counters (callers charge deltas)."""
         with self._stats_lock:
             return {
                 "kernel_calls": self.calls_total,

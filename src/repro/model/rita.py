@@ -14,8 +14,6 @@ Heads (paper Sec. A.7):
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
 
 from repro.attention.group import GroupAttention
@@ -30,10 +28,6 @@ from repro.rng import get_rng
 from repro.simgpu.memory import MemoryModel
 
 __all__ = ["TimeAwareConvolution", "RitaModel"]
-
-#: One DeprecationWarning per process for the whole legacy serving surface
-#: (predict / predict_logits / predict_series / embed).
-_SERVING_DEPRECATION_WARNED = False
 
 
 class TimeAwareConvolution(Module):
@@ -240,54 +234,6 @@ class RitaModel(Module):
                 "check window_size/stride geometry"
             )
         return decoded[:, :length, :]
-
-    # ------------------------------------------------------------------
-    # Deprecated inference shims (the serving surface moved to
-    # repro.serve.InferenceEngine; these stay for output parity)
-    # ------------------------------------------------------------------
-    def _serving_engine(self, batch_size: int | None):
-        """One-shot engine over this live model (deprecated-path plumbing)."""
-        global _SERVING_DEPRECATION_WARNED
-        if not _SERVING_DEPRECATION_WARNED:
-            _SERVING_DEPRECATION_WARNED = True
-            warnings.warn(
-                "RitaModel.predict/predict_logits/predict_series/embed are "
-                "deprecated; serve through repro.serve.InferenceEngine "
-                "(engine.predict/classify/reconstruct/embed)",
-                DeprecationWarning,
-                stacklevel=3,
-            )
-        from repro.serve.engine import InferenceEngine
-
-        return InferenceEngine(self, max_batch_size=batch_size)
-
-    def predict_logits(
-        self, series, mask: np.ndarray | None = None, batch_size: int | None = None
-    ) -> np.ndarray:
-        """Deprecated: use :meth:`repro.serve.InferenceEngine.classify`."""
-        return self._serving_engine(batch_size).classify(series, mask=mask)
-
-    def predict(
-        self, series, mask: np.ndarray | None = None, batch_size: int | None = None
-    ) -> np.ndarray:
-        """Deprecated: use :meth:`repro.serve.InferenceEngine.predict`."""
-        return self._serving_engine(batch_size).predict(series, mask=mask)
-
-    def predict_series(
-        self, series, mask: np.ndarray | None = None, batch_size: int | None = None
-    ) -> np.ndarray:
-        """Deprecated: use :meth:`repro.serve.InferenceEngine.reconstruct`."""
-        return self._serving_engine(batch_size).reconstruct(series, mask=mask)
-
-    def embed(
-        self,
-        series,
-        mask: np.ndarray | None = None,
-        batch_size: int | None = None,
-        pooling: str = "cls",
-    ) -> np.ndarray:
-        """Deprecated: use :meth:`repro.serve.InferenceEngine.embed`."""
-        return self._serving_engine(batch_size).embed(series, mask=mask, pooling=pooling)
 
     # ------------------------------------------------------------------
     # Introspection used by scheduler / memory accounting

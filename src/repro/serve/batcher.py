@@ -34,8 +34,6 @@ import numpy as np
 
 from repro.data.collate import pad_collate
 from repro.errors import ConfigError, DeadlineExceededError, OverloadError, ShapeError
-from repro.kernels.parallel import run_jobs
-from repro.kernels.threads import get_num_threads
 
 __all__ = ["MicroBatcher", "PendingResult"]
 
@@ -152,17 +150,6 @@ class MicroBatcher:
         ``shed_total``) instead of growing the queue without bound —
         rejecting fast at admission keeps the latency of admitted
         requests honest.  ``None`` (default) keeps the queue unbounded.
-    concurrent_flush:
-        Opt-in: when one flush carves multiple batches, serve them
-        concurrently over the shared kernel thread pool
-        (``RITA_NUM_THREADS`` workers) instead of a serial loop.  The
-        endpoint must be safe to call from multiple threads — an
-        :class:`~repro.serve.engine.InferenceEngine` endpoint qualifies
-        exactly when ``engine.supports_concurrent_calls()`` is true
-        (eval mode, no group-attention layers, no serving grouping
-        policy).  Counters and handles are still updated race-free: each
-        handle belongs to exactly one batch, and the cumulative counters
-        are aggregated in the flushing thread after the jobs return.
     """
 
     def __init__(
@@ -170,7 +157,6 @@ class MicroBatcher:
         endpoint: Callable[..., np.ndarray],
         max_batch_size: int = 32,
         max_delay_s: float | None = None,
-        concurrent_flush: bool = False,
         max_queue: int | None = None,
     ) -> None:
         if max_batch_size < 1:
@@ -183,7 +169,6 @@ class MicroBatcher:
         self.max_batch_size = int(max_batch_size)
         self.max_delay_s = max_delay_s
         self.max_queue = None if max_queue is None else int(max_queue)
-        self.concurrent_flush = bool(concurrent_flush)
         self._lock = threading.Lock()
         self._pending: list[tuple[np.ndarray, PendingResult]] = []
         self._oldest: float | None = None
@@ -291,48 +276,29 @@ class MicroBatcher:
         # batches from the sorted order.
         lengths = np.array([series.shape[0] for series, _ in pending])
         order = np.argsort(lengths, kind="stable")
-        chunks = [
-            [pending[i] for i in order[start : start + self.max_batch_size]]
-            for start in range(0, len(order), self.max_batch_size)
-        ]
-
-        def serve(chunk):
-            # Outcome tuple instead of raising: a job's exception must be
-            # routed to *its* handles, not abort sibling batches.
-            try:
-                return ("ok", self._serve_chunk(chunk))
-            except Exception as exc:  # noqa: BLE001 - forwarded to every handle
-                return ("err", exc)
-
-        if self.concurrent_flush and len(chunks) > 1 and get_num_threads() > 1:
-            outcomes = run_jobs(lambda c=c: serve(c) for c in chunks)
-        else:
-            outcomes = [serve(chunk) for chunk in chunks]
         first_error: Exception | None = None
-        for chunk, (status, payload) in zip(chunks, outcomes):
-            if status == "err":
+        for start in range(0, len(order), self.max_batch_size):
+            chunk = [pending[i] for i in order[start : start + self.max_batch_size]]
+            try:
+                padded_rows = self._serve_chunk(chunk)
+            except Exception as exc:  # noqa: BLE001 - forwarded to every handle
                 # One bad batch must not orphan its siblings: its handles
                 # carry the error (result() re-raises) and the remaining
-                # chunks were still served.
+                # chunks are still served.
                 for _, handle in chunk:
-                    handle._fail(payload)
+                    handle._fail(exc)
                 if first_error is None:
-                    first_error = payload
-            else:
-                self.batches_total += 1
-                self.padded_rows_total += payload
+                    first_error = exc
+                continue
+            self.batches_total += 1
+            self.padded_rows_total += padded_rows
         self.requests_total += len(pending)
         if first_error is not None:
             raise first_error
         return len(pending)
 
     def _serve_chunk(self, chunk: list[tuple[np.ndarray, PendingResult]]) -> int:
-        """Serve one carved batch; returns how many rows needed padding.
-
-        Counter updates happen in the caller (``_flush_locked``) so this
-        method stays safe to run on a pool worker under
-        ``concurrent_flush`` — each handle is resolved by exactly one job.
-        """
+        """Serve one carved batch; returns how many rows needed padding."""
         series = [item for item, _ in chunk]
         padded_length = None
         padded_rows = 0

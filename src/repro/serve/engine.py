@@ -18,10 +18,6 @@ construction), accepts dense ``(B, L, m)`` arrays, single ``(L, m)``
 series, or ragged lists of ``(L_i, m)`` series (padded internally with
 the validity-mask machinery from :mod:`repro.data.collate`), and serves
 arbitrarily large requests in bounded chunks (``max_batch_size``).
-
-The old per-method surface (``RitaModel.predict`` /
-``predict_logits`` / ``predict_series`` / ``embed``) now routes through
-this engine and is deprecated.
 """
 
 from __future__ import annotations
@@ -35,9 +31,7 @@ import numpy as np
 from repro.autograd.tensor import Tensor, no_grad
 from repro.data.collate import pad_ragged
 from repro.errors import ConfigError, RequestError, ShapeError
-from repro.kernels.parallel import run_jobs
 from repro.kernels.policy import dtype_scope, get_default_dtype, resolve_dtype
-from repro.kernels.threads import get_num_threads
 from repro.model.rita import RitaModel
 from repro.serve.artifact import ModelArtifact
 from repro.serve.deadlines import check_deadline
@@ -50,10 +44,10 @@ __all__ = ["InferenceEngine", "EngineStats"]
 class EngineStats:
     """Serving counters (cumulative; the benchmark reads deltas).
 
-    ``record`` is thread-safe: endpoints are called concurrently — the
-    micro-batcher flushes from caller threads, and chunked endpoints can
-    fan shards out over the kernel pool — and the counters are
-    read-modify-write, so unguarded ``+=`` would silently drop updates.
+    ``record`` is thread-safe: endpoints may be called from several
+    threads — the micro-batcher flushes from caller threads — and the
+    counters are read-modify-write, so unguarded ``+=`` would silently
+    drop updates.
     """
 
     requests_total: int = 0      #: series served across all endpoints
@@ -95,18 +89,6 @@ class InferenceEngine:
         cached partition is reused across consecutive requests whenever
         the Lemma-1 drift guard holds, skipping K-means entirely.
         ``None`` keeps the model's configured values.
-    parallel_chunks:
-        Opt-in: when a request is served in multiple ``max_batch_size``
-        chunks, dispatch the chunk forwards concurrently over the shared
-        kernel thread pool (``RITA_NUM_THREADS`` workers) instead of a
-        serial loop.  Applies only when
-        :meth:`supports_concurrent_calls` holds — stateless eval-mode
-        serving with no group-attention layers and no per-call grouping
-        policy.  Group-attention models fall back to the serial loop:
-        their recluster cache and K-means RNG mutate per forward, and
-        concurrent mutation would corrupt the cache (the kernel *inside*
-        a forward still shards on the ``parallel`` backend, which is
-        where group models get their multicore win).
     """
 
     def __init__(
@@ -116,7 +98,6 @@ class InferenceEngine:
         dtype=None,
         recluster_every: int | None = None,
         drift_tolerance: float | None = None,
-        parallel_chunks: bool = False,
     ) -> None:
         if isinstance(model, ModelArtifact):
             self.model = model.build_model()
@@ -139,27 +120,9 @@ class InferenceEngine:
         self.dtype = resolve_dtype(dtype) if dtype is not None else np.dtype(pinned)
         self.recluster_every = None if recluster_every is None else int(recluster_every)
         self.drift_tolerance = None if drift_tolerance is None else float(drift_tolerance)
-        self.parallel_chunks = bool(parallel_chunks)
         self.stats = EngineStats()
         self._index: IVFFlatIndex | None = None
         self._index_pooling: str = "cls"
-
-    # repro: allow[grad-discipline] - pure introspection; executes no model code
-    def supports_concurrent_calls(self) -> bool:
-        """True when endpoint calls may safely run on multiple threads.
-
-        Requires a stateless forward: eval mode (artifact-built models
-        always are), no group-attention layers (their recluster cache and
-        K-means RNG mutate per forward), and no per-call serving grouping
-        policy (it mutates layer attributes for the call's duration).
-        """
-        group_layers = getattr(self.model, "group_attention_layers", lambda: [])()
-        return (
-            not self.model.training
-            and not group_layers
-            and self.recluster_every is None
-            and self.drift_tolerance is None
-        )
 
     @property
     def config(self):
@@ -309,26 +272,11 @@ class InferenceEngine:
                 out = fn(x, m)
                 self.stats.record(endpoint, len(x), 1)
                 return out
-            starts = list(range(0, len(x), limit))
-
-            def chunk_job(start):
+            pieces = []
+            for start in range(0, len(x), limit):
                 check_deadline(f"{endpoint} request (chunk at row {start})")
                 chunk_mask = None if m is None else m[start : start + limit]
-                return fn(x[start : start + limit], chunk_mask)
-
-            if (
-                self.parallel_chunks
-                and len(starts) > 1
-                and get_num_threads() > 1
-                and self.supports_concurrent_calls()
-            ):
-                # Concurrent chunks over the shared kernel pool.  The
-                # serving context (no-grad, dtype policy) is process-
-                # global, so the pool workers inherit it; kernels inside
-                # the chunk forwards run serial (nested-dispatch guard).
-                pieces = run_jobs(lambda s=s: chunk_job(s) for s in starts)
-            else:
-                pieces = [chunk_job(start) for start in starts]
+                pieces.append(fn(x[start : start + limit], chunk_mask))
             self.stats.record(endpoint, len(x), len(pieces))
             return np.concatenate(pieces, axis=0)
 

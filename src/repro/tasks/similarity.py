@@ -20,9 +20,8 @@ __all__ = ["extract_embeddings", "SimilarityIndex", "cluster_embeddings"]
 def extract_embeddings(model, dataset: ArrayDataset, batch_size: int = 32) -> np.ndarray:
     """Series-level embeddings for every row of ``dataset`` (no grad).
 
-    RITA models route through :class:`repro.serve.InferenceEngine` (the
-    non-deprecated serving surface); baselines with their own ``embed``
-    (e.g. TST) are called directly.
+    RITA models route through :class:`repro.serve.InferenceEngine`;
+    baselines with their own ``embed`` (e.g. TST) are called directly.
     """
     from repro.model.rita import RitaModel
     from repro.serve.engine import InferenceEngine

@@ -2,7 +2,6 @@
 
 from repro.train.metrics import accuracy, macro_f1, mae, mse
 from repro.train.trainer import EpochStats, History, Trainer, evaluate_task
-from repro.train.parallel_eval import evaluate_task_parallel
 from repro.train.checkpoint import CheckpointManager, load_checkpoint, save_checkpoint
 from repro.train.callbacks import EarlyStopping
 from repro.train.supervisor import SupervisedRun, Supervisor, TrainingRecipe, TrainPlan
@@ -16,7 +15,6 @@ __all__ = [
     "History",
     "Trainer",
     "evaluate_task",
-    "evaluate_task_parallel",
     "CheckpointManager",
     "load_checkpoint",
     "save_checkpoint",

@@ -26,9 +26,6 @@ from repro.autograd.tensor import Tensor, no_grad
 from repro.data.dataloader import DataLoader
 from repro.data.dataset import ArrayDataset
 from repro.errors import ConfigError, DivergenceError
-from repro.kernels.backend import get_backend
-from repro.kernels.parallel import ParallelNumpyBackend
-from repro.kernels.threads import get_num_threads
 from repro.optim.optimizer import Optimizer
 from repro.scheduler.adaptive import AdaptiveScheduler
 from repro.scheduler.batchsize import BatchSizePredictor
@@ -51,13 +48,6 @@ class EpochStats:
     #: K-means runs across all group-attention layers this epoch; with an
     #: amortized recluster cadence this is below ``batches * layers``.
     reclusters: int = 0
-    #: Parallel-dispatch efficiency for this epoch when the ``parallel``
-    #: kernel backend is active: ``num_threads``, the epoch's
-    #: ``kernel_calls`` / ``sharded_calls`` / ``shards`` deltas, and
-    #: ``sharded_fraction`` (how much of the kernel traffic actually
-    #: crossed the size threshold and fanned out).  Empty on other
-    #: backends.
-    parallel: dict[str, float] = field(default_factory=dict)
 
 
 @dataclass
@@ -105,25 +95,6 @@ def _grouping_totals(model) -> tuple[float, int]:
         seconds += layer.grouping_seconds_total
         reclusters += layer.reclusters_total
     return seconds, reclusters
-
-
-def _parallel_backend() -> ParallelNumpyBackend | None:
-    """The active backend when it is the parallel one, else ``None``."""
-    backend = get_backend()
-    return backend if isinstance(backend, ParallelNumpyBackend) else None
-
-
-def _parallel_epoch_stats(before: dict[str, int], after: dict[str, int]) -> dict[str, float]:
-    calls = after["kernel_calls"] - before["kernel_calls"]
-    sharded = after["sharded_calls"] - before["sharded_calls"]
-    shards = after["shards"] - before["shards"]
-    return {
-        "num_threads": float(get_num_threads()),
-        "kernel_calls": float(calls),
-        "sharded_calls": float(sharded),
-        "shards": float(shards),
-        "sharded_fraction": sharded / calls if calls else 0.0,
-    }
 
 
 def evaluate_task(
@@ -259,25 +230,13 @@ class Trainer:
         :func:`repro.data.pad_collate` with a
         :class:`~repro.data.RaggedDataset` to train on variable-length
         series with length-bucketed batches.
-
-        When the ``parallel`` kernel backend is active the loader folds
-        tail batches smaller than the thread count into their neighbour
-        (``min_batch_size``) so every forward has enough rows to shard,
-        and each :class:`EpochStats` carries that epoch's dispatch
-        counters in ``stats.parallel``.
         """
-        backend = _parallel_backend()
-        min_batch_size = None
-        if backend is not None and get_num_threads() > 1:
-            min_batch_size = min(get_num_threads(), batch_size)
         loader = DataLoader(
             train_dataset, batch_size=batch_size, shuffle=shuffle, rng=rng,
             collate_fn=collate_fn, bucket_by_length=bucket_by_length,
-            min_batch_size=min_batch_size,
         )
         history = History()
         for epoch in range(1, epochs + 1):
-            counters_before = None if backend is None else backend.snapshot()
             mean_loss, seconds, grouping, reclusters = self.train_epoch(loader)
             stats = EpochStats(
                 epoch=epoch,
@@ -292,8 +251,6 @@ class Trainer:
                 stats.val_metrics = evaluate_task(
                     self.model, self.task, val_dataset, collate_fn=collate_fn
                 )
-            if counters_before is not None:
-                stats.parallel = _parallel_epoch_stats(counters_before, backend.snapshot())
             history.append(stats)
             if verbose:
                 print(

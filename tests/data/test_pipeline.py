@@ -98,30 +98,29 @@ class TestDataLoader:
         with pytest.raises(ConfigError):
             loader.set_batch_size(-1)
 
-    def test_min_batch_size_folds_small_tail(self):
-        ds = ArrayDataset(x=np.arange(22)[:, None])
-        loader = DataLoader(ds, batch_size=5, min_batch_size=4)
-        sizes = [len(b["x"]) for b in loader]
-        assert sizes == [5, 5, 5, 7]  # 22 = 5+5+5+2 -> tail of 2 folded in
-        seen = np.concatenate([b["x"][:, 0] for b in loader])
-        np.testing.assert_array_equal(np.sort(seen), np.arange(22))
-
-    def test_min_batch_size_keeps_large_enough_tail(self):
-        ds = ArrayDataset(x=np.arange(14)[:, None])
-        loader = DataLoader(ds, batch_size=5, min_batch_size=4)
-        assert [len(b["x"]) for b in loader] == [5, 5, 4]
-
-    def test_min_batch_size_never_merges_the_only_batch(self):
-        ds = ArrayDataset(x=np.arange(3)[:, None])
-        loader = DataLoader(ds, batch_size=5, min_batch_size=4)
-        assert [len(b["x"]) for b in loader] == [3]
-
-    def test_min_batch_size_validation(self):
-        ds = ArrayDataset(x=np.arange(10)[:, None])
-        with pytest.raises(ConfigError):
-            DataLoader(ds, batch_size=4, min_batch_size=5)
-        with pytest.raises(ConfigError):
-            DataLoader(ds, batch_size=4, min_batch_size=0)
+    @pytest.mark.parametrize(
+        "n, batch_size, drop_last, sizes",
+        [
+            (22, 5, False, [5, 5, 5, 5, 2]),
+            (14, 5, False, [5, 5, 4]),
+            (3, 5, False, [3]),
+            (33, 32, False, [32, 1]),
+            (22, 5, True, [5, 5, 5, 5]),
+        ],
+    )
+    def test_tail_batch_is_never_folded(self, rng, n, batch_size, drop_last, sizes):
+        """Batches are carved in order and a short tail stays its own batch,
+        shuffled or not."""
+        ds = ArrayDataset(x=np.arange(n)[:, None])
+        for shuffle in (False, True):
+            loader = DataLoader(
+                ds, batch_size=batch_size, shuffle=shuffle, drop_last=drop_last, rng=rng
+            )
+            batches = [b["x"][:, 0] for b in loader]
+            assert [len(b) for b in batches] == sizes
+            assert len(loader) == len(sizes)
+            seen = np.concatenate(batches)
+            assert len(np.unique(seen)) == len(seen) == sum(sizes)
 
     def test_grow_batch_mid_epoch_does_not_corrupt_epochs(self):
         """A mid-epoch batch-size change takes effect next epoch only.

@@ -6,6 +6,7 @@ import numpy as np
 
 import repro
 from repro.autograd.tensor import Tensor
+from repro.serve import InferenceEngine
 
 
 class TestPredictMethods:
@@ -13,10 +14,11 @@ class TestPredictMethods:
         repro.seed_all(7)
         model = repro.RitaModel(tiny_rita_config, rng=np.random.default_rng(1))
         model.eval()
+        engine = InferenceEngine(model)
         x = tiny_har_bundle.train[0]["x"][None, ...]
-        logits = model.predict_logits(x)
+        logits = engine.classify(x)
         assert isinstance(logits, np.ndarray)
-        preds = model.predict(x)
+        preds = engine.predict(x)
         assert preds.shape == (1,)
         assert preds[0] == logits.argmax(axis=-1)[0]
 
@@ -31,12 +33,12 @@ class TestPredictMethods:
         assert out._parents == ()
         assert not out.requires_grad
 
-    def test_predict_series_shape(self, tiny_rita_config, tiny_har_bundle):
+    def test_reconstruct_shape(self, tiny_rita_config, tiny_har_bundle):
         repro.seed_all(7)
         model = repro.RitaModel(tiny_rita_config, rng=np.random.default_rng(1))
         model.eval()
         x = tiny_har_bundle.train[0]["x"][None, ...]
-        recon = model.predict_series(x)
+        recon = InferenceEngine(model).reconstruct(x)
         assert isinstance(recon, np.ndarray)
         assert recon.shape == x.shape
 

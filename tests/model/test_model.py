@@ -13,6 +13,7 @@ from repro.attention import (
     PerformerAttention,
     VanillaAttention,
 )
+from repro.serve import InferenceEngine
 
 
 class TestConfig:
@@ -116,7 +117,7 @@ class TestRitaModel:
         assert out.shape == (2, 20, 3)
 
     def test_embed_no_grad(self, model, rng):
-        embedding = model.embed(rng.standard_normal((4, 32, 3)))
+        embedding = InferenceEngine(model).embed(rng.standard_normal((4, 32, 3)))
         assert embedding.shape == (4, 16)
         assert isinstance(embedding, np.ndarray)
 

@@ -10,6 +10,7 @@ from repro.autograd.tensor import Tensor
 from repro.data import DataLoader, RaggedDataset, pad_collate, pad_ragged
 from repro.errors import ConfigError, ShapeError
 from repro.model import RitaConfig, RitaModel
+from repro.serve import InferenceEngine
 from repro.tasks import ClassificationTask
 from repro.train import Trainer
 
@@ -137,55 +138,54 @@ class TestMaskedMeanPooling:
         np.testing.assert_allclose(pooled.data[0], windows.data[0].mean(axis=0), atol=1e-12)
 
     def test_mean_embed_parity(self, rng):
-        model = make_model("vanilla")
+        engine = InferenceEngine(make_model("vanilla"))
         series, padded, mask = ragged_batch(rng)
-        pooled = model.embed(padded, mask=mask, pooling="mean")
+        pooled = engine.embed(padded, mask=mask, pooling="mean")
         for b, single in enumerate(series):
-            solo = model.embed(single[None], pooling="mean")
+            solo = engine.embed(single[None], pooling="mean")
             np.testing.assert_allclose(pooled[b], solo[0], atol=1e-5, rtol=1e-5)
 
     def test_unknown_pooling_raises(self, rng):
-        model = make_model()
-        with pytest.raises(ConfigError):
-            model.embed(rng.standard_normal((1, 10, 2)), pooling="max")
+        engine = InferenceEngine(make_model())
+        _, padded, mask = ragged_batch(rng)
+        with pytest.raises(ConfigError, match="pooling"):
+            engine.embed(padded, mask=mask, pooling="max")
+        assert engine.stats.requests_total == 0  # rejected before any forward
 
 
 class TestChunkedInference:
-    def test_predict_logits_chunked_equals_full(self, rng):
+    def test_classify_chunked_equals_full(self, rng):
         model = make_model("vanilla")
         x = rng.standard_normal((7, 16, 2))
-        full = model.predict_logits(x)
-        chunked = model.predict_logits(x, batch_size=3)
+        full = InferenceEngine(model).classify(x)
+        chunked = InferenceEngine(model, max_batch_size=3).classify(x)
         np.testing.assert_allclose(chunked, full, atol=1e-10)
         np.testing.assert_array_equal(
-            model.predict(x, batch_size=2), full.argmax(axis=-1)
+            InferenceEngine(model, max_batch_size=2).predict(x), full.argmax(axis=-1)
         )
 
-    def test_predict_series_and_embed_chunked(self, rng):
+    def test_reconstruct_and_embed_chunked(self, rng):
         model = make_model("vanilla")
+        full, chunked = InferenceEngine(model), InferenceEngine(model, max_batch_size=2)
         x = rng.standard_normal((5, 16, 2))
-        np.testing.assert_allclose(
-            model.predict_series(x, batch_size=2), model.predict_series(x), atol=1e-10
-        )
-        np.testing.assert_allclose(
-            model.embed(x, batch_size=2), model.embed(x), atol=1e-10
-        )
+        np.testing.assert_allclose(chunked.reconstruct(x), full.reconstruct(x), atol=1e-10)
+        np.testing.assert_allclose(chunked.embed(x), full.embed(x), atol=1e-10)
 
     def test_chunked_with_mask(self, rng):
         model = make_model("vanilla")
         _, padded, mask = ragged_batch(rng, lengths=[20, 14, 9, 17, 6])
-        full = model.predict_logits(padded, mask=mask)
-        chunked = model.predict_logits(padded, mask=mask, batch_size=2)
+        full = InferenceEngine(model).classify(padded, mask=mask)
+        chunked = InferenceEngine(model, max_batch_size=2).classify(padded, mask=mask)
         np.testing.assert_allclose(chunked, full, atol=1e-10)
 
-    def test_invalid_batch_size_raises(self, rng):
-        model = make_model()
-        with pytest.raises(ConfigError):
-            model.predict_logits(rng.standard_normal((4, 16, 2)), batch_size=0)
+    def test_invalid_batch_size_raises(self):
+        for max_batch_size in (0, -2):
+            with pytest.raises(ConfigError, match="max_batch_size"):
+                InferenceEngine(make_model(), max_batch_size=max_batch_size)
 
     def test_restores_training_mode(self, rng):
         model = make_model().train()
-        model.predict_logits(rng.standard_normal((4, 16, 2)), batch_size=2)
+        InferenceEngine(model, max_batch_size=2).classify(rng.standard_normal((4, 16, 2)))
         assert model.training
 
 

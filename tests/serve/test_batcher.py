@@ -217,6 +217,72 @@ class TestValidation:
         with pytest.raises(ConfigError, match="fell over"):
             bad.result()
 
+    def test_middle_batch_failure_spares_both_neighbours(self, rng):
+        calls = {"n": 0}
+
+        def flaky(x, mask=None):
+            calls["n"] += 1
+            if calls["n"] == 2:
+                raise ConfigError("backend fell over")
+            return np.full((len(x), 3), float(calls["n"]))
+
+        batcher = MicroBatcher(flaky, max_batch_size=2)
+        handles = [
+            batcher.submit(rng.standard_normal((5, 2)), auto_flush=False)
+            for _ in range(6)
+        ]
+        with pytest.raises(ConfigError, match="fell over"):
+            batcher.flush()
+        assert calls["n"] == 3  # the loop went on past the failed batch
+        np.testing.assert_array_equal(handles[0].result(), np.full(3, 1.0))
+        np.testing.assert_array_equal(handles[5].result(), np.full(3, 3.0))
+        for handle in handles[2:4]:
+            with pytest.raises(ConfigError, match="fell over"):
+                handle.result()
+
+    def test_failed_batch_counts_requests_but_not_batches(self, rng):
+        def fail_long(x, mask=None):
+            if x.shape[1] == 9:
+                raise ConfigError("backend fell over")
+            return np.zeros((len(x), 3))
+
+        batcher = MicroBatcher(fail_long, max_batch_size=2)
+        # Sorted by length the batches are [5, 7] (padded) and [9, 9].
+        for length in (9, 5, 9, 7):
+            batcher.submit(rng.standard_normal((length, 2)), auto_flush=False)
+        with pytest.raises(ConfigError, match="fell over"):
+            batcher.flush()
+        assert batcher.requests_total == 4
+        assert batcher.flushes_total == 1
+        assert batcher.batches_total == 1
+        assert batcher.padded_rows_total == 2
+
+
+class TestCounters:
+    @pytest.mark.parametrize(
+        "lengths, batches, padded_rows",
+        [
+            ([18] * 9, 5, 0),
+            # Sorted: [9, 9] [11, 14] [14, 20] [20, 20] [24]
+            ([20, 14, 9, 20, 14, 9, 20, 11, 24], 5, 4),
+        ],
+        ids=["dense", "ragged"],
+    )
+    def test_burst_counters(self, rng, lengths, batches, padded_rows):
+        engine = make_engine()
+        batcher = MicroBatcher(engine.classify, max_batch_size=2)
+        reqs = requests(rng, lengths)
+        results = batcher.map(reqs)
+        for got, series in zip(results, reqs):
+            np.testing.assert_allclose(
+                got, engine.classify(series)[0], atol=1e-5, rtol=1e-5
+            )
+        assert batcher.requests_total == 9
+        assert batcher.flushes_total == 1
+        assert batcher.batches_total == batches
+        assert batcher.padded_rows_total == padded_rows
+        assert engine.stats.batches_total == batches + len(reqs)  # + solo calls
+
 
 class TestThreadSafety:
     def test_concurrent_submits_all_resolve(self, rng):

@@ -1,27 +1,10 @@
-"""Serve-layer concurrency: locked stats, parallel chunks, concurrent flush."""
+"""Serve-layer concurrency: the engine's locked stats counters."""
 
 from __future__ import annotations
 
 import threading
 
-import numpy as np
-import pytest
-
-import repro
-import repro.kernels as K
-from repro.serve import EngineStats, InferenceEngine, MicroBatcher
-
-
-def make_model(attention="vanilla", rng_seed=11, **overrides):
-    params = dict(
-        input_channels=2, max_len=28, dim=16, n_layers=2, n_heads=2,
-        attention=attention, n_groups=4, dropout=0.0, n_classes=3,
-    )
-    params.update(overrides)
-    model = repro.RitaModel(repro.RitaConfig(**params), rng=np.random.default_rng(rng_seed))
-    for layer in model.group_attention_layers():
-        layer.warm_start = False
-    return model
+from repro.serve import EngineStats
 
 
 class TestEngineStatsThreadSafety:
@@ -43,97 +26,3 @@ class TestEngineStatsThreadSafety:
         assert stats.requests_total == 3 * n_threads * n_rounds
         assert stats.batches_total == n_threads * n_rounds
         assert sum(stats.by_endpoint.values()) == 3 * n_threads * n_rounds
-
-
-class TestParallelChunks:
-    def test_supports_concurrent_calls_flags(self):
-        assert InferenceEngine(make_model().eval()).supports_concurrent_calls()
-        assert not InferenceEngine(make_model("group").eval()).supports_concurrent_calls()
-        assert not InferenceEngine(make_model()).supports_concurrent_calls()  # training
-        assert not InferenceEngine(
-            make_model().eval(), recluster_every=4
-        ).supports_concurrent_calls()
-
-    def test_parallel_chunks_bitwise_vs_serial(self, rng):
-        model = make_model().eval()
-        serial = InferenceEngine(model, max_batch_size=2)
-        parallel = InferenceEngine(model, max_batch_size=2, parallel_chunks=True)
-        x = rng.standard_normal((7, 24, 2))
-        with K.threads_scope(4):
-            for endpoint in ("classify", "embed", "reconstruct"):
-                np.testing.assert_array_equal(
-                    getattr(parallel, endpoint)(x), getattr(serial, endpoint)(x)
-                )
-        assert parallel.stats.requests_total == serial.stats.requests_total == 21
-        assert parallel.stats.batches_total == serial.stats.batches_total == 12
-
-    def test_group_model_falls_back_to_serial_loop(self, rng):
-        """parallel_chunks on a group model must not corrupt the recluster
-        cache: the engine serves its chunks serially and matches a plain
-        engine exactly."""
-        # Two identically-seeded models: group attention consumes its
-        # K-means RNG per forward, so engines must not share one model
-        # for a call-by-call comparison.
-        serial = InferenceEngine(make_model("group").eval(), max_batch_size=2)
-        parallel = InferenceEngine(
-            make_model("group").eval(), max_batch_size=2, parallel_chunks=True
-        )
-        x = rng.standard_normal((6, 24, 2))
-        with K.threads_scope(4):
-            np.testing.assert_array_equal(parallel.classify(x), serial.classify(x))
-
-    def test_single_thread_policy_stays_serial(self, rng):
-        model = make_model().eval()
-        engine = InferenceEngine(model, max_batch_size=2, parallel_chunks=True)
-        x = rng.standard_normal((5, 24, 2))
-        with K.threads_scope(1):
-            out = engine.classify(x)
-        assert out.shape == (5, 3)
-
-
-class TestConcurrentFlush:
-    @pytest.mark.parametrize("ragged", [False, True])
-    def test_concurrent_flush_matches_serial_batcher(self, rng, ragged):
-        model = make_model().eval()
-        engine = InferenceEngine(model, parallel_chunks=True)
-        if ragged:
-            requests = [
-                rng.standard_normal((length, 2))
-                for length in [20, 14, 9, 20, 14, 9, 20, 11, 24]
-            ]
-        else:
-            requests = [rng.standard_normal((18, 2)) for _ in range(9)]
-        serial = MicroBatcher(engine.classify, max_batch_size=2)
-        concurrent = MicroBatcher(
-            engine.classify, max_batch_size=2, concurrent_flush=True
-        )
-        with K.threads_scope(4):
-            expected = serial.map(requests)
-            got = concurrent.map(requests)
-        for g, e in zip(got, expected):
-            np.testing.assert_array_equal(g, e)
-        assert concurrent.requests_total == serial.requests_total == 9
-        assert concurrent.batches_total == serial.batches_total
-        assert concurrent.flushes_total == serial.flushes_total == 1
-        assert concurrent.padded_rows_total == serial.padded_rows_total
-
-    def test_concurrent_flush_routes_errors_to_their_handles(self):
-        boom = RuntimeError("bad batch")
-
-        def endpoint(x, mask=None):
-            if x.shape[1] == 7:  # only the length-7 batch fails
-                raise boom
-            return x.sum(axis=1)
-
-        batcher = MicroBatcher(endpoint, max_batch_size=2, concurrent_flush=True)
-        good = [np.ones((5, 2)), np.ones((5, 2))]
-        bad = [np.ones((7, 2)), np.ones((7, 2))]
-        with K.threads_scope(4):
-            handles = [batcher.submit(s, auto_flush=False) for s in good + bad]
-            with pytest.raises(RuntimeError, match="bad batch"):
-                batcher.flush()
-        np.testing.assert_array_equal(handles[0].result(), np.full(2, 5.0))
-        np.testing.assert_array_equal(handles[1].result(), np.full(2, 5.0))
-        for handle in handles[2:]:
-            with pytest.raises(RuntimeError, match="bad batch"):
-                handle.result()

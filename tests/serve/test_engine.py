@@ -124,6 +124,71 @@ class TestEndpointParity:
         assert chunked_engine.stats.requests_total == 7
 
 
+class TestChunkLoop:
+    """The serial chunk loop: bounded forwards, one-pass results, exact counters."""
+
+    @staticmethod
+    def spy_forward_rows(model, monkeypatch) -> list[int]:
+        """Record the row count of every encoder forward the model runs."""
+        rows: list[int] = []
+        encode = model._encode
+
+        def spy(series, mask=None):
+            rows.append(len(np.asarray(getattr(series, "data", series))))
+            return encode(series, mask)
+
+        monkeypatch.setattr(model, "_encode", spy)
+        return rows
+
+    @pytest.mark.parametrize("limit", [1, 3, 6])
+    @pytest.mark.parametrize("endpoint", ["classify", "predict", "embed", "reconstruct"])
+    def test_chunks_match_one_pass(self, rng, monkeypatch, endpoint, limit):
+        model = make_model().eval()
+        x = rng.standard_normal((7, 20, 2))
+        full = getattr(InferenceEngine(model), endpoint)(x)
+        rows = self.spy_forward_rows(model, monkeypatch)
+        engine = InferenceEngine(model, max_batch_size=limit)
+        np.testing.assert_allclose(getattr(engine, endpoint)(x), full, atol=1e-10)
+        expected_rows = [limit] * (7 // limit) + ([7 % limit] if 7 % limit else [])
+        assert rows == expected_rows
+        assert engine.stats.batches_total == len(expected_rows)
+        assert engine.stats.requests_total == 7
+        recorded = "classify" if endpoint == "predict" else endpoint
+        assert engine.stats.by_endpoint == {recorded: 7}
+
+    @pytest.mark.parametrize("endpoint", ["classify", "embed", "reconstruct"])
+    def test_ragged_chunks_slice_the_mask(self, rng, endpoint):
+        model = make_model().eval()
+        _, padded, mask = ragged_batch(rng, lengths=[20, 14, 9, 17, 6])
+        full = getattr(InferenceEngine(model), endpoint)(padded, mask=mask)
+        chunked = InferenceEngine(model, max_batch_size=2)
+        np.testing.assert_allclose(
+            getattr(chunked, endpoint)(padded, mask=mask), full, atol=1e-10
+        )
+        assert chunked.stats.batches_total == 3
+
+    def test_request_at_the_limit_is_one_forward(self, rng, monkeypatch):
+        model = make_model().eval()
+        rows = self.spy_forward_rows(model, monkeypatch)
+        engine = InferenceEngine(model, max_batch_size=4)
+        engine.classify(rng.standard_normal((4, 20, 2)))
+        engine.classify(rng.standard_normal((5, 20, 2)))
+        assert rows == [4, 4, 1]
+        assert engine.stats.batches_total == 3
+        assert engine.stats.requests_total == 9
+
+    def test_group_model_chunks_are_reproducible(self, rng):
+        # Group attention draws K-means RNG per forward, so each engine
+        # gets its own identically-seeded model.
+        x = rng.standard_normal((6, 24, 2))
+        first, second = (
+            InferenceEngine(make_model("group", n_groups=4).eval(), max_batch_size=2)
+            for _ in range(2)
+        )
+        np.testing.assert_array_equal(first.classify(x), second.classify(x))
+        assert first.stats.batches_total == second.stats.batches_total == 3
+
+
 class TestForecast:
     def test_dense_forecast_matches_manual_extension(self, rng):
         model = make_model().eval()

@@ -58,27 +58,51 @@ class TestTrainerFit:
         assert len(history.epochs) == 2
         assert "accuracy" in history.final.val_metrics
         assert history.final.seconds > 0
+        assert history.final.mean_groups == pytest.approx(4.0)
 
-    def test_parallel_backend_records_dispatch_stats(self, setup, rng):
+    @pytest.mark.parametrize("backend", ["fused", "parallel"])
+    def test_batches_do_not_depend_on_kernel_backend(self, setup, rng, backend):
+        """33 rows at batch_size=32 train as [32, 1] on every backend: the
+        backend changes how kernels run, never how batches are carved."""
         import repro.kernels as K
 
-        model, train, val = setup
-        trainer = Trainer(model, ClassificationTask(), repro.AdamW(model.parameters(), lr=1e-3))
-        with K.use_backend("parallel"), K.threads_scope(2, min_elements=1):
-            history = trainer.fit(train, epochs=1, batch_size=8, rng=rng)
-        stats = history.final.parallel
-        assert stats["num_threads"] == 2.0
-        assert stats["kernel_calls"] > 0
-        assert stats["sharded_calls"] > 0
-        assert stats["shards"] >= 2 * stats["sharded_calls"] - 1e-9
-        assert 0.0 < stats["sharded_fraction"] <= 1.0
+        model, _, _ = setup
+        sizes: list[int] = []
 
-    def test_fused_backend_leaves_parallel_stats_empty(self, setup, rng):
-        model, train, val = setup
-        trainer = Trainer(model, ClassificationTask(), repro.AdamW(model.parameters(), lr=1e-3))
-        history = trainer.fit(train, epochs=1, batch_size=8, rng=rng)
-        assert history.final.parallel == {}
-        assert history.final.mean_groups == pytest.approx(4.0)
+        class RecordingTask(ClassificationTask):
+            def loss(self, model, batch):
+                sizes.append(len(batch["x"]))
+                return super().loss(model, batch)
+
+        train = ArrayDataset(x=rng.random((33, 16, 2)), y=rng.integers(0, 2, 33))
+        trainer = Trainer(model, RecordingTask(), repro.AdamW(model.parameters(), lr=1e-3))
+        with K.use_backend(backend), K.threads_scope(2):
+            trainer.fit(train, epochs=1, batch_size=32, rng=rng)
+        assert sizes == [32, 1]
+
+    def test_epoch_loss_does_not_depend_on_kernel_backend(self, rng):
+        """Same data, same seed: fused and 2-thread parallel train the same
+        epoch within the backends' documented 1e-12 kernel parity."""
+        import repro.kernels as K
+
+        x, y = rng.random((33, 16, 2)), rng.integers(0, 2, 33)
+        losses = {}
+        for backend in ("fused", "parallel"):
+            config = RitaConfig(
+                input_channels=2, max_len=16, dim=16, n_layers=1, n_heads=2,
+                attention="vanilla", dropout=0.0, n_classes=2,
+            )
+            model = RitaModel(config, rng=np.random.default_rng(3))
+            trainer = Trainer(
+                model, ClassificationTask(), repro.AdamW(model.parameters(), lr=1e-3)
+            )
+            with K.use_backend(backend), K.threads_scope(2):
+                history = trainer.fit(
+                    ArrayDataset(x=x, y=y), epochs=2, batch_size=32,
+                    rng=np.random.default_rng(9),
+                )
+            losses[backend] = [epoch.train_loss for epoch in history.epochs]
+        np.testing.assert_allclose(losses["parallel"], losses["fused"], rtol=1e-9, atol=0)
 
     def test_training_reduces_loss(self, setup, rng):
         model, train, _ = setup
@@ -216,6 +240,36 @@ class TestEvaluationHelpers:
         model, train, val = setup
         metrics = evaluate_task(model, ClassificationTask(), val)
         assert 0.0 <= metrics["accuracy"] <= 1.0
+
+    @pytest.mark.parametrize("batch_size", [1, 3, 5])
+    def test_evaluate_task_does_not_depend_on_batch_size(self, rng, batch_size):
+        """Per-batch sums re-accumulate to the one-batch answer."""
+        config = RitaConfig(
+            input_channels=2, max_len=16, dim=16, n_layers=1, n_heads=2,
+            attention="vanilla", dropout=0.0, n_classes=3,
+        )
+        model = RitaModel(config, rng=np.random.default_rng(5))
+        val = ArrayDataset(x=rng.standard_normal((11, 12, 2)), y=rng.integers(0, 3, 11))
+        whole = evaluate_task(model, ClassificationTask(), val, batch_size=len(val))
+        batched = evaluate_task(model, ClassificationTask(), val, batch_size=batch_size)
+        assert batched["accuracy"] == whole["accuracy"]
+        assert batched["loss"] == pytest.approx(whole["loss"], rel=1e-12)
+
+    def test_evaluate_task_reproducible_for_group_models(self, rng):
+        """Group attention draws K-means RNG per forward; identically seeded
+        models evaluate to identical metrics."""
+        val = ArrayDataset(x=rng.standard_normal((8, 12, 2)), y=rng.integers(0, 3, 8))
+        results = []
+        for _ in range(2):
+            config = RitaConfig(
+                input_channels=2, max_len=16, dim=8, n_layers=1, n_heads=2,
+                attention="group", n_groups=3, dropout=0.0, n_classes=3,
+            )
+            model = RitaModel(config, rng=np.random.default_rng(5))
+            for layer in model.group_attention_layers():
+                layer.warm_start = False
+            results.append(evaluate_task(model, ClassificationTask(), val, batch_size=2))
+        assert results[0] == results[1]
 
     def test_evaluate_restores_training_mode(self, setup):
         model, _, val = setup
