@@ -22,10 +22,12 @@ directly.  Swapping the active backend therefore changes the execution
 strategy of the entire model without touching model code — the seam where
 future backends (sharding, caching, alternative array libraries) plug in.
 
-Two backends ship today: this module's straightforward NumPy *reference*
-backend (the semantics oracle the tests gradcheck against) and the
-optimized *fused* backend in :mod:`repro.kernels.fused` (default).  Select
-with :func:`set_backend` / :func:`use_backend` or the
+Three backends ship today: this module's straightforward NumPy
+*reference* backend (the semantics oracle the tests gradcheck against),
+the optimized *fused* backend in :mod:`repro.kernels.fused` (default),
+and the opt-in *parallel* backend in :mod:`repro.kernels.parallel`, which
+shards the fused kernels' batch axis across ``RITA_NUM_THREADS`` threads.
+Select with :func:`set_backend` / :func:`use_backend` or the
 ``RITA_KERNEL_BACKEND`` environment variable.
 """
 

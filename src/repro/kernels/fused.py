@@ -323,16 +323,24 @@ class FusedNumpyBackend(NumpyReferenceBackend):
         inv_std: np.ndarray,
         weight: np.ndarray,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        grad_x = self._layer_norm_grad_x(grad, xhat, inv_std, weight)
+        axes = _leading_axes(grad)
+        grad_w = (grad * xhat).sum(axis=axes)
+        grad_b = grad.sum(axis=axes)
+        return grad_x, grad_w, grad_b
+
+    @staticmethod
+    def _layer_norm_grad_x(
+        grad: np.ndarray, xhat: np.ndarray, inv_std: np.ndarray, weight: np.ndarray
+    ) -> np.ndarray:
+        """Layer norm's input gradient; each row depends only on its own row."""
         grad_xhat = grad * weight
         mean_g = grad_xhat.mean(axis=-1, keepdims=True)
         mean_gx = (grad_xhat * xhat).mean(axis=-1, keepdims=True)
         grad_xhat -= mean_g
         grad_xhat -= xhat * mean_gx
         grad_xhat *= inv_std
-        axes = _leading_axes(grad)
-        grad_w = (grad * xhat).sum(axis=axes)
-        grad_b = grad.sum(axis=axes)
-        return grad_xhat, grad_w, grad_b
+        return grad_xhat
 
 
 from repro.kernels import backend as _backend_module

@@ -16,6 +16,12 @@ changes::
     with repro.kernels.use_backend("parallel"), repro.kernels.threads_scope(4):
         model.classify(batch)          # kernels shard across 4 workers
 
+Every override has the same shape: it calls ``_plan`` before building
+any view or buffer, so the serial fallback does no extra work; then it
+states how its arrays flatten to one leading work axis, which arguments
+every shard shares, and which outputs to preallocate, and ``_run`` does
+the rest.
+
 Dispatch policy (:mod:`repro.kernels.threads`): worker count from
 ``RITA_NUM_THREADS`` / :func:`threads_scope`, and a size heuristic that
 keeps small inputs on the serial fused path so thread handoff overhead
@@ -40,6 +46,8 @@ and cores are never oversubscribed.
 
 from __future__ import annotations
 
+import functools
+import math
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
@@ -167,89 +175,78 @@ class ParallelNumpyBackend(FusedNumpyBackend):
             self.sharded_calls_total = 0
             self.shards_total = 0
 
-    # -- softmax family (row-wise over the last axis) ---------------------
-    def _rowwise_plan(self, x: np.ndarray, axis: int):
-        """Plan + ``(rows, d)`` view for ops normalizing over the last axis."""
-        if x.ndim < 2 or axis not in (-1, x.ndim - 1):
+    # -- the shard routine -------------------------------------------------
+    def _run(self, plan, kernel, sharded, shared, *outputs: np.ndarray) -> None:
+        """Run ``kernel(*sharded[start:stop], *shared)`` per shard of ``plan``.
+
+        ``None`` in ``sharded`` passes through unsliced.  Each shard writes
+        its result (a tuple when there are several ``outputs``) into its
+        rows of the preallocated ``outputs`` on the worker that computed
+        it, so the calling thread joins nothing.
+        """
+
+        def job(start: int, stop: int) -> None:
+            result = kernel(*(None if a is None else a[start:stop] for a in sharded), *shared)
+            for out, part in zip(outputs, result if len(outputs) > 1 else (result,)):
+                out[start:stop] = part
+
+        run_jobs(functools.partial(job, start, stop) for start, stop in plan)
+
+    def _flat_plan(self, x: np.ndarray, axis: int = -1, core: int = 1):
+        """Plan + ``(rows, *core_shape)`` view: all but the last ``core`` axes flattened.
+
+        Unplanned (and uncounted) when no leading axis is left to shard or
+        ``axis`` is not the last one.
+        """
+        if x.ndim <= core or axis not in (-1, x.ndim - 1):
             return None, None
-        rows = x.size // x.shape[-1] if x.size else 0
+        core_shape = x.shape[x.ndim - core:]
+        rows = x.size // math.prod(core_shape) if x.size else 0
         plan = self._plan(rows, x.size)
-        if plan is None:
-            return None, None
-        return plan, x.reshape(rows, x.shape[-1])
+        return (None, None) if plan is None else (plan, x.reshape(rows, *core_shape))
 
+    # -- softmax family (row-wise over the last axis) ---------------------
     def softmax(self, x: np.ndarray, axis: int) -> np.ndarray:
-        serial = super()
-        plan, flat = self._rowwise_plan(x, axis)
+        plan, flat = self._flat_plan(x, axis)
         if plan is None:
-            return serial.softmax(x, axis)
+            return super().softmax(x, axis)
         out = np.empty_like(flat)
-
-        def job(start, stop):
-            out[start:stop] = serial.softmax(flat[start:stop], -1)
-
-        run_jobs(lambda s=s, e=e: job(s, e) for s, e in plan)
+        self._run(plan, super().softmax, (flat,), (-1,), out)
         return out.reshape(x.shape)
 
     def log_softmax(self, x: np.ndarray, axis: int) -> np.ndarray:
-        serial = super()
-        plan, flat = self._rowwise_plan(x, axis)
+        plan, flat = self._flat_plan(x, axis)
         if plan is None:
-            return serial.log_softmax(x, axis)
+            return super().log_softmax(x, axis)
         out = np.empty_like(flat)
-
-        def job(start, stop):
-            out[start:stop] = serial.log_softmax(flat[start:stop], -1)
-
-        run_jobs(lambda s=s, e=e: job(s, e) for s, e in plan)
+        self._run(plan, super().log_softmax, (flat,), (-1,), out)
         return out.reshape(x.shape)
 
     def softmax_backward(self, grad: np.ndarray, out: np.ndarray, axis: int) -> np.ndarray:
-        serial = super()
-        plan, grad_flat = self._rowwise_plan(grad, axis)
+        plan, flat = self._flat_plan(grad, axis)
         if plan is None:
-            return serial.softmax_backward(grad, out, axis)
-        out_flat = out.reshape(grad_flat.shape)
-        result = np.empty_like(grad_flat)
-
-        def job(start, stop):
-            result[start:stop] = serial.softmax_backward(
-                grad_flat[start:stop], out_flat[start:stop], -1
-            )
-
-        run_jobs(lambda s=s, e=e: job(s, e) for s, e in plan)
+            return super().softmax_backward(grad, out, axis)
+        result = np.empty_like(flat)
+        views = (flat, out.reshape(flat.shape))
+        self._run(plan, super().softmax_backward, views, (-1,), result)
         return result.reshape(grad.shape)
 
     def log_softmax_backward(self, grad: np.ndarray, out: np.ndarray, axis: int) -> np.ndarray:
-        serial = super()
-        plan, grad_flat = self._rowwise_plan(grad, axis)
+        plan, flat = self._flat_plan(grad, axis)
         if plan is None:
-            return serial.log_softmax_backward(grad, out, axis)
-        out_flat = out.reshape(grad_flat.shape)
-        result = np.empty_like(grad_flat)
-
-        def job(start, stop):
-            result[start:stop] = serial.log_softmax_backward(
-                grad_flat[start:stop], out_flat[start:stop], -1
-            )
-
-        run_jobs(lambda s=s, e=e: job(s, e) for s, e in plan)
+            return super().log_softmax_backward(grad, out, axis)
+        result = np.empty_like(flat)
+        views = (flat, out.reshape(flat.shape))
+        self._run(plan, super().log_softmax_backward, views, (-1,), result)
         return result.reshape(grad.shape)
 
     def masked_softmax(self, x: np.ndarray, mask: np.ndarray, axis: int) -> np.ndarray:
-        serial = super()
-        plan, flat = self._rowwise_plan(x, axis)
+        plan, flat = self._flat_plan(x, axis)
         if plan is None:
-            return serial.masked_softmax(x, mask, axis)
-        mask_flat = np.broadcast_to(mask, x.shape).reshape(flat.shape)
+            return super().masked_softmax(x, mask, axis)
         out = np.empty_like(flat)
-
-        def job(start, stop):
-            out[start:stop] = serial.masked_softmax(
-                flat[start:stop], mask_flat[start:stop], -1
-            )
-
-        run_jobs(lambda s=s, e=e: job(s, e) for s, e in plan)
+        views = (flat, np.broadcast_to(mask, x.shape).reshape(flat.shape))
+        self._run(plan, super().masked_softmax, views, (-1,), out)
         return out.reshape(x.shape)
 
     # -- group softmax (shard the flattened batch of score matrices) ------
@@ -259,144 +256,81 @@ class ParallelNumpyBackend(FusedNumpyBackend):
         counts: np.ndarray,
         query_mask: np.ndarray | None = None,
     ) -> np.ndarray:
-        serial = super()
-        if scores.ndim < 3:
-            return serial.group_softmax(scores, counts, query_mask)
-        n, num_groups = scores.shape[-2:]
-        batch = scores.size // (n * num_groups) if scores.size else 0
-        plan = self._plan(batch, scores.size)
+        plan, flat = self._flat_plan(scores, core=2)
         if plan is None:
-            return serial.group_softmax(scores, counts, query_mask)
-        scores_flat = scores.reshape(batch, n, num_groups)
-        counts_flat = counts.reshape(batch, num_groups)
-        mask_flat = (
-            None
-            if query_mask is None
-            else np.broadcast_to(query_mask, scores.shape[:-1]).reshape(batch, n)
-        )
-        out = np.empty_like(scores_flat)
-
-        def job(start, stop):
-            out[start:stop] = serial.group_softmax(
-                scores_flat[start:stop],
-                counts_flat[start:stop],
-                None if mask_flat is None else mask_flat[start:stop],
-            )
-
-        run_jobs(lambda s=s, e=e: job(s, e) for s, e in plan)
+            return super().group_softmax(scores, counts, query_mask)
+        batch, n, num_groups = flat.shape
+        if query_mask is not None:
+            query_mask = np.broadcast_to(query_mask, scores.shape[:-1]).reshape(batch, n)
+        out = np.empty_like(flat)
+        views = (flat, counts.reshape(batch, num_groups), query_mask)
+        self._run(plan, super().group_softmax, views, (), out)
         return out.reshape(scores.shape)
 
     def group_softmax_backward(
         self, grad: np.ndarray, attn: np.ndarray, counts: np.ndarray
     ) -> np.ndarray:
-        serial = super()
-        if grad.ndim < 3:
-            return serial.group_softmax_backward(grad, attn, counts)
-        n, num_groups = grad.shape[-2:]
-        batch = grad.size // (n * num_groups) if grad.size else 0
-        plan = self._plan(batch, grad.size)
+        plan, flat = self._flat_plan(grad, core=2)
         if plan is None:
-            return serial.group_softmax_backward(grad, attn, counts)
-        grad_flat = grad.reshape(batch, n, num_groups)
-        attn_flat = attn.reshape(batch, n, num_groups)
-        counts_flat = counts.reshape(batch, num_groups)
-        out = np.empty_like(grad_flat)
-
-        def job(start, stop):
-            out[start:stop] = serial.group_softmax_backward(
-                grad_flat[start:stop], attn_flat[start:stop], counts_flat[start:stop]
-            )
-
-        run_jobs(lambda s=s, e=e: job(s, e) for s, e in plan)
+            return super().group_softmax_backward(grad, attn, counts)
+        batch, _, num_groups = flat.shape
+        out = np.empty_like(flat)
+        views = (flat, attn.reshape(flat.shape), counts.reshape(batch, num_groups))
+        self._run(plan, super().group_softmax_backward, views, (), out)
         return out.reshape(grad.shape)
 
     # -- segment scatter/gather (shard the flattened batch) ---------------
     def segment_sum(
         self, values: np.ndarray, segment_ids: np.ndarray, num_segments: int
     ) -> np.ndarray:
-        serial = super()
-        batch_shape = values.shape[:-2]
-        batch = int(np.prod(batch_shape)) if batch_shape else 1
+        batch = math.prod(values.shape[:-2])
         plan = self._plan(batch, values.size)
         if plan is None:
-            return serial.segment_sum(values, segment_ids, num_segments)
+            return super().segment_sum(values, segment_ids, num_segments)
         n, d = values.shape[-2:]
-        values_flat = values.reshape(batch, n, d)
-        ids_flat = segment_ids.reshape(batch, n)
         out = np.empty((batch, num_segments, d), dtype=values.dtype)
-
-        def job(start, stop):
-            out[start:stop] = serial.segment_sum(
-                values_flat[start:stop], ids_flat[start:stop], num_segments
-            )
-
-        run_jobs(lambda s=s, e=e: job(s, e) for s, e in plan)
-        return out.reshape(*batch_shape, num_segments, d)
+        views = (values.reshape(batch, n, d), segment_ids.reshape(batch, n))
+        self._run(plan, super().segment_sum, views, (num_segments,), out)
+        return out.reshape(*values.shape[:-2], num_segments, d)
 
     def segment_gather(self, values: np.ndarray, segment_ids: np.ndarray) -> np.ndarray:
-        serial = super()
-        batch_shape = segment_ids.shape[:-1]
-        batch = int(np.prod(batch_shape)) if batch_shape else 1
+        batch = math.prod(segment_ids.shape[:-1])
         d = values.shape[-1]
         plan = self._plan(batch, segment_ids.size * d)
         if plan is None:
-            return serial.segment_gather(values, segment_ids)
-        num_segments = values.shape[-2]
-        n = segment_ids.shape[-1]
-        values_flat = values.reshape(batch, num_segments, d)
-        ids_flat = segment_ids.reshape(batch, n)
+            return super().segment_gather(values, segment_ids)
+        num_segments, n = values.shape[-2], segment_ids.shape[-1]
         out = np.empty((batch, n, d), dtype=values.dtype)
-
-        def job(start, stop):
-            out[start:stop] = serial.segment_gather(
-                values_flat[start:stop], ids_flat[start:stop]
-            )
-
-        run_jobs(lambda s=s, e=e: job(s, e) for s, e in plan)
-        return out.reshape(*batch_shape, n, d)
+        views = (values.reshape(batch, num_segments, d), segment_ids.reshape(batch, n))
+        self._run(plan, super().segment_gather, views, (), out)
+        return out.reshape(*segment_ids.shape, d)
 
     # -- k-means grouping primitives --------------------------------------
     def segment_count(self, segment_ids: np.ndarray, num_segments: int) -> np.ndarray:
-        serial = super()
-        batch_shape = segment_ids.shape[:-1]
-        batch = int(np.prod(batch_shape)) if batch_shape else 1
+        batch = math.prod(segment_ids.shape[:-1])
         plan = self._plan(batch, segment_ids.size)
         if plan is None:
-            return serial.segment_count(segment_ids, num_segments)
-        n = segment_ids.shape[-1]
-        ids_flat = segment_ids.reshape(batch, n)
+            return super().segment_count(segment_ids, num_segments)
         out = np.empty((batch, num_segments), dtype=np.int64)
-
-        def job(start, stop):
-            out[start:stop] = serial.segment_count(ids_flat[start:stop], num_segments)
-
-        run_jobs(lambda s=s, e=e: job(s, e) for s, e in plan)
-        return out.reshape(*batch_shape, num_segments)
+        views = (segment_ids.reshape(batch, segment_ids.shape[-1]),)
+        self._run(plan, super().segment_count, views, (num_segments,), out)
+        return out.reshape(*segment_ids.shape[:-1], num_segments)
 
     def segment_mean(
         self, values: np.ndarray, segment_ids: np.ndarray, num_segments: int
     ) -> tuple[np.ndarray, np.ndarray]:
-        serial = super()
-        batch_shape = values.shape[:-2]
-        batch = int(np.prod(batch_shape)) if batch_shape else 1
+        batch = math.prod(values.shape[:-2])
         plan = self._plan(batch, values.size)
         if plan is None:
-            return serial.segment_mean(values, segment_ids, num_segments)
+            return super().segment_mean(values, segment_ids, num_segments)
         n, d = values.shape[-2:]
-        values_flat = values.reshape(batch, n, d)
-        ids_flat = segment_ids.reshape(batch, n)
         means = np.empty((batch, num_segments, d), dtype=values.dtype)
         counts = np.empty((batch, num_segments), dtype=np.int64)
-
-        def job(start, stop):
-            means[start:stop], counts[start:stop] = serial.segment_mean(
-                values_flat[start:stop], ids_flat[start:stop], num_segments
-            )
-
-        run_jobs(lambda s=s, e=e: job(s, e) for s, e in plan)
+        views = (values.reshape(batch, n, d), segment_ids.reshape(batch, n))
+        self._run(plan, super().segment_mean, views, (num_segments,), means, counts)
         return (
-            means.reshape(*batch_shape, num_segments, d),
-            counts.reshape(*batch_shape, num_segments),
+            means.reshape(*values.shape[:-2], num_segments, d),
+            counts.reshape(*values.shape[:-2], num_segments),
         )
 
     def segment_max(
@@ -406,24 +340,15 @@ class ParallelNumpyBackend(FusedNumpyBackend):
         num_segments: int,
         initial: float = 0.0,
     ) -> np.ndarray:
-        serial = super()
-        batch_shape = segment_ids.shape[:-1]
-        batch = int(np.prod(batch_shape)) if batch_shape else 1
+        batch = math.prod(segment_ids.shape[:-1])
         plan = self._plan(batch, values.size)
         if plan is None:
-            return serial.segment_max(values, segment_ids, num_segments, initial)
+            return super().segment_max(values, segment_ids, num_segments, initial)
         n = segment_ids.shape[-1]
-        values_flat = values.reshape(batch, n)
-        ids_flat = segment_ids.reshape(batch, n)
         out = np.empty((batch, num_segments), dtype=values.dtype)
-
-        def job(start, stop):
-            out[start:stop] = serial.segment_max(
-                values_flat[start:stop], ids_flat[start:stop], num_segments, initial
-            )
-
-        run_jobs(lambda s=s, e=e: job(s, e) for s, e in plan)
-        return out.reshape(*batch_shape, num_segments)
+        views = (values.reshape(batch, n), segment_ids.reshape(batch, n))
+        self._run(plan, super().segment_max, views, (num_segments, initial), out)
+        return out.reshape(*segment_ids.shape[:-1], num_segments)
 
     def kmeans_assign(
         self,
@@ -431,42 +356,27 @@ class ParallelNumpyBackend(FusedNumpyBackend):
         centers: np.ndarray,
         points_sq: np.ndarray | None = None,
     ) -> tuple[np.ndarray, np.ndarray]:
-        serial = super()
         batch, n, _ = points.shape
-        num_centers = centers.shape[1]
-        plan = self._plan(batch, batch * n * num_centers)
+        plan = self._plan(batch, batch * n * centers.shape[1])
         if plan is None:
-            return serial.kmeans_assign(points, centers, points_sq)
+            return super().kmeans_assign(points, centers, points_sq)
         assignments = np.empty((batch, n), dtype=np.int64)
         member_sq = np.empty((batch, n), dtype=points.dtype)
-
-        def job(start, stop):
-            assignments[start:stop], member_sq[start:stop] = serial.kmeans_assign(
-                points[start:stop],
-                centers[start:stop],
-                None if points_sq is None else points_sq[start:stop],
-            )
-
-        run_jobs(lambda s=s, e=e: job(s, e) for s, e in plan)
+        views = (points, centers, points_sq)
+        self._run(plan, super().kmeans_assign, views, (), assignments, member_sq)
         return assignments, member_sq
 
     # -- affine (row-sharded GEMM; see the determinism note above) ---------
     def linear(
         self, x: np.ndarray, weight: np.ndarray, bias: np.ndarray | None
     ) -> np.ndarray:
-        serial = super()
         out_features, in_features = weight.shape
         rows = x.size // in_features if x.size else 0
         plan = self._plan(rows, x.size + rows * out_features)
         if plan is None:
-            return serial.linear(x, weight, bias)
-        x_flat = x.reshape(rows, in_features)
+            return super().linear(x, weight, bias)
         out = np.empty((rows, out_features), dtype=x.dtype)
-
-        def job(start, stop):
-            out[start:stop] = serial.linear(x_flat[start:stop], weight, bias)
-
-        run_jobs(lambda s=s, e=e: job(s, e) for s, e in plan)
+        self._run(plan, super().linear, (x.reshape(rows, in_features),), (weight, bias), out)
         return out.reshape(*x.shape[:-1], out_features)
 
     def linear_backward(
@@ -476,23 +386,17 @@ class ParallelNumpyBackend(FusedNumpyBackend):
         weight: np.ndarray,
         need_bias: bool,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-        serial = super()
         out_features, in_features = weight.shape
         rows = grad.size // out_features if grad.size else 0
         plan = self._plan(rows, grad.size + x.size)
         if plan is None:
-            return serial.linear_backward(grad, x, weight, need_bias)
+            return super().linear_backward(grad, x, weight, need_bias)
         grad_flat = grad.reshape(rows, out_features)
-        x_flat = x.reshape(rows, in_features)
         grad_x = np.empty((rows, in_features), dtype=x.dtype)
-
-        def job(start, stop):
-            grad_x[start:stop] = grad_flat[start:stop] @ weight
-
-        run_jobs(lambda s=s, e=e: job(s, e) for s, e in plan)
+        self._run(plan, np.matmul, (grad_flat,), (weight,), grad_x)
         # Weight/bias gradients reduce over ALL rows: keep them serial so
         # the parameter-gradient reduction order matches fused exactly.
-        grad_w = grad_flat.T @ x_flat
+        grad_w = grad_flat.T @ x.reshape(rows, in_features)
         grad_b = grad_flat.sum(axis=0) if need_bias else None
         return grad_x.reshape(x.shape), grad_w, grad_b
 
@@ -500,49 +404,22 @@ class ParallelNumpyBackend(FusedNumpyBackend):
     def layer_norm(
         self, x: np.ndarray, weight: np.ndarray, bias: np.ndarray, eps: float
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        serial = super()
-        d = x.shape[-1]
-        rows = x.size // d if x.size else 0
-        if x.ndim < 2:
-            return serial.layer_norm(x, weight, bias, eps)
-        plan = self._plan(rows, x.size)
+        plan, flat = self._flat_plan(x)
         if plan is None:
-            return serial.layer_norm(x, weight, bias, eps)
-        x_flat = x.reshape(rows, d)
-        out = np.empty_like(x_flat)
-        xhat = np.empty_like(x_flat)
-        inv_std = np.empty((rows, 1), dtype=x.dtype)
-
-        def job(start, stop):
-            out[start:stop], xhat[start:stop], inv_std[start:stop] = serial.layer_norm(
-                x_flat[start:stop], weight, bias, eps
-            )
-
-        run_jobs(lambda s=s, e=e: job(s, e) for s, e in plan)
-        return (
-            out.reshape(x.shape),
-            xhat.reshape(x.shape),
-            inv_std.reshape(*x.shape[:-1], 1),
-        )
+            return super().layer_norm(x, weight, bias, eps)
+        out, xhat = np.empty_like(flat), np.empty_like(flat)
+        inv_std = np.empty((len(flat), 1), dtype=x.dtype)
+        self._run(plan, super().layer_norm, (flat,), (weight, bias, eps), out, xhat, inv_std)
+        return out.reshape(x.shape), xhat.reshape(x.shape), inv_std.reshape(*x.shape[:-1], 1)
 
     def layer_norm_infer(
         self, x: np.ndarray, weight: np.ndarray, bias: np.ndarray, eps: float
     ) -> np.ndarray:
-        serial = super()
-        d = x.shape[-1]
-        rows = x.size // d if x.size else 0
-        if x.ndim < 2:
-            return serial.layer_norm_infer(x, weight, bias, eps)
-        plan = self._plan(rows, x.size)
+        plan, flat = self._flat_plan(x)
         if plan is None:
-            return serial.layer_norm_infer(x, weight, bias, eps)
-        x_flat = x.reshape(rows, d)
-        out = np.empty_like(x_flat)
-
-        def job(start, stop):
-            out[start:stop] = serial.layer_norm_infer(x_flat[start:stop], weight, bias, eps)
-
-        run_jobs(lambda s=s, e=e: job(s, e) for s, e in plan)
+            return super().layer_norm_infer(x, weight, bias, eps)
+        out = np.empty_like(flat)
+        self._run(plan, super().layer_norm_infer, (flat,), (weight, bias, eps), out)
         return out.reshape(x.shape)
 
     def layer_norm_backward(
@@ -552,31 +429,13 @@ class ParallelNumpyBackend(FusedNumpyBackend):
         inv_std: np.ndarray,
         weight: np.ndarray,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        serial = super()
-        d = grad.shape[-1]
-        rows = grad.size // d if grad.size else 0
-        if grad.ndim < 2:
-            return serial.layer_norm_backward(grad, xhat, inv_std, weight)
-        plan = self._plan(rows, grad.size)
+        plan, grad_flat = self._flat_plan(grad)
         if plan is None:
-            return serial.layer_norm_backward(grad, xhat, inv_std, weight)
-        grad_flat = grad.reshape(rows, d)
-        xhat_flat = xhat.reshape(rows, d)
-        inv_flat = inv_std.reshape(rows, 1)
+            return super().layer_norm_backward(grad, xhat, inv_std, weight)
+        xhat_flat = xhat.reshape(grad_flat.shape)
         grad_x = np.empty_like(grad_flat)
-
-        def job(start, stop):
-            # Mirrors FusedNumpyBackend.layer_norm_backward's grad_x
-            # expressions exactly (per-row math, bitwise per shard).
-            grad_xhat = grad_flat[start:stop] * weight
-            mean_g = grad_xhat.mean(axis=-1, keepdims=True)
-            mean_gx = (grad_xhat * xhat_flat[start:stop]).mean(axis=-1, keepdims=True)
-            grad_xhat -= mean_g
-            grad_xhat -= xhat_flat[start:stop] * mean_gx
-            grad_xhat *= inv_flat[start:stop]
-            grad_x[start:stop] = grad_xhat
-
-        run_jobs(lambda s=s, e=e: job(s, e) for s, e in plan)
+        views = (grad_flat, xhat_flat, inv_std.reshape(len(grad_flat), 1))
+        self._run(plan, self._layer_norm_grad_x, views, (weight,), grad_x)
         # Parameter gradients reduce over ALL rows: serial, fused order.
         grad_w = (grad_flat * xhat_flat).sum(axis=0)
         grad_b = grad_flat.sum(axis=0)

@@ -49,6 +49,7 @@ import numpy as np
 from repro.errors import ConfigError, ReproError, ServingError
 from repro.serve.artifact import ModelArtifact
 from repro.serve.chaos import ChaosSchedule
+from repro.serve.engine import InferenceEngine, check_engine_options
 
 __all__ = ["WorkerPool", "checksum"]
 
@@ -90,7 +91,6 @@ def _worker_main(
     from repro.kernels.backend import set_backend
     from repro.kernels.threads import set_num_threads
     from repro.serve.deadlines import deadline_scope
-    from repro.serve.engine import InferenceEngine
 
     set_backend(backend_name)
     set_num_threads(1)  # process-level replication owns the cores
@@ -202,7 +202,8 @@ class WorkerPool:
         Replica count.
     engine_kwargs:
         Forwarded to every worker's :class:`InferenceEngine` (e.g.
-        ``max_batch_size``, serving grouping policy).
+        ``max_batch_size``, serving grouping policy); checked here, so a
+        bad option raises :class:`ConfigError` in the parent.
     chaos:
         Optional :class:`ChaosSchedule` shipped to workers (tests and the
         resilience benchmark; ``None`` = no injected faults).
@@ -237,6 +238,7 @@ class WorkerPool:
             raise ConfigError("n_workers must be >= 1")
         if heartbeat_timeout_s <= heartbeat_interval_s:
             raise ConfigError("heartbeat_timeout_s must exceed heartbeat_interval_s")
+        check_engine_options(**(engine_kwargs or {}))
         if not isinstance(artifact, ModelArtifact):
             artifact = ModelArtifact.from_model(artifact)
         self.artifact = artifact

@@ -37,7 +37,33 @@ from repro.serve.artifact import ModelArtifact
 from repro.serve.deadlines import check_deadline
 from repro.tasks.vector_index import IVFFlatIndex
 
-__all__ = ["InferenceEngine", "EngineStats"]
+__all__ = ["InferenceEngine", "EngineStats", "check_engine_options"]
+
+
+def check_engine_options(
+    max_batch_size: int | None = None,
+    dtype=None,
+    recluster_every: int | None = None,
+    drift_tolerance: float | None = None,
+    **unknown: object,
+) -> None:
+    """Raise :class:`ConfigError` for an unknown or out-of-range engine option.
+
+    Runs before any model is built: :class:`InferenceEngine` calls it
+    first, and :class:`~repro.serve.cluster.WorkerPool` calls it in the
+    parent process, so bad ``engine_kwargs`` fail the pool's constructor
+    instead of crashing every worker it spawns.
+    """
+    if unknown:
+        raise ConfigError(f"unknown InferenceEngine option(s): {sorted(unknown)}")
+    if max_batch_size is not None and max_batch_size < 1:
+        raise ConfigError("max_batch_size must be >= 1 or None")
+    if recluster_every is not None and recluster_every < 1:
+        raise ConfigError("recluster_every must be >= 1 or None")
+    if drift_tolerance is not None and drift_tolerance < 0:
+        raise ConfigError("drift_tolerance must be >= 0 or None")
+    if dtype is not None:
+        resolve_dtype(dtype)
 
 
 @dataclass
@@ -99,6 +125,7 @@ class InferenceEngine:
         recluster_every: int | None = None,
         drift_tolerance: float | None = None,
     ) -> None:
+        check_engine_options(max_batch_size, dtype, recluster_every, drift_tolerance)
         if isinstance(model, ModelArtifact):
             self.model = model.build_model()
             pinned = model.dtype
@@ -110,12 +137,6 @@ class InferenceEngine:
                 f"InferenceEngine serves a RitaModel or ModelArtifact, "
                 f"got {type(model).__name__}"
             )
-        if max_batch_size is not None and max_batch_size < 1:
-            raise ConfigError("max_batch_size must be >= 1 or None")
-        if recluster_every is not None and recluster_every < 1:
-            raise ConfigError("recluster_every must be >= 1 or None")
-        if drift_tolerance is not None and drift_tolerance < 0:
-            raise ConfigError("drift_tolerance must be >= 0 or None")
         self.max_batch_size = None if max_batch_size is None else int(max_batch_size)
         self.dtype = resolve_dtype(dtype) if dtype is not None else np.dtype(pinned)
         self.recluster_every = None if recluster_every is None else int(recluster_every)

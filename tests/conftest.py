@@ -23,6 +23,36 @@ def _float64_policy():
     repro.kernels.set_default_dtype(previous)
 
 
+def _kernel_policy() -> dict:
+    return {
+        "backend": repro.kernels.get_backend().name,
+        "num_threads": repro.kernels.get_num_threads(),
+        "parallel_threshold": repro.kernels.get_parallel_threshold(),
+        "default_dtype": repro.kernels.get_default_dtype(),
+    }
+
+
+@pytest.fixture(autouse=True)
+def _kernel_policy_unchanged():
+    """Fail a test that leaves the process-wide kernel policy changed.
+
+    Backend, thread count, shard threshold and dtype are process globals:
+    a test that sets one without restoring it silently reruns every later
+    test under that setting (e.g. a whole ``RITA_KERNEL_BACKEND=parallel``
+    run falling back to ``fused``).  The policy is restored before failing
+    so the leak stops at the test that caused it.
+    """
+    before = _kernel_policy()
+    yield
+    after = _kernel_policy()
+    if after != before:
+        repro.kernels.set_backend(before["backend"])
+        repro.kernels.set_num_threads(before["num_threads"])
+        repro.kernels.set_parallel_threshold(before["parallel_threshold"])
+        repro.kernels.set_default_dtype(before["default_dtype"])
+        pytest.fail(f"test changed the kernel policy: {before} -> {after}")
+
+
 @pytest.fixture
 def rng() -> np.random.Generator:
     """Fresh deterministic generator per test."""

@@ -51,9 +51,10 @@ class TestRegistration:
         assert isinstance(K.get_backend("parallel"), ParallelNumpyBackend)
 
     def test_use_backend_round_trip(self):
+        before = K.get_backend().name
         with K.use_backend("parallel"):
             assert K.get_backend().name == "parallel"
-        assert K.get_backend().name != "parallel"
+        assert K.get_backend().name == before
 
 
 class TestKernelParity:
@@ -185,6 +186,127 @@ class TestKernelParity:
             # grad_w / grad_b reduce over rows — kept serial, bitwise.
             assert np.array_equal(par_grads[1], fused_grads[1])
             assert np.array_equal(par_grads[2], fused_grads[2])
+
+
+def _mask(rng, shape):
+    mask = rng.random(shape) > 0.3
+    mask[..., 0] = True
+    return mask
+
+
+def _counts(rng, shape):
+    return rng.integers(1, 4, size=shape).astype(np.float64)
+
+
+def _ids(rng, shape, num_segments=4):
+    return rng.integers(0, num_segments, size=shape)
+
+
+def _kmeans_with_points_sq(rng):
+    points = rng.standard_normal((5, 9, 3))
+    return points, rng.standard_normal((5, 4, 3)), np.einsum("bnd,bnd->bn", points, points)
+
+
+def _layer_norm_cache(rng, shape):
+    x = rng.standard_normal(shape)
+    _, xhat, inv_std = K.get_backend("fused").layer_norm(x, np.ones(shape[-1]), 0.0, 1e-5)
+    return xhat, inv_std
+
+
+#: (id, method, args from an rng, (kernel_calls, sharded_calls, shards)
+#: under ``force_parallel(4)``).  Edge geometries the parity tests above
+#: do not reach: fewer rows than threads, broadcast masks, optional
+#: arguments left out, 3-D row-wise inputs, and the calls that must stay
+#: on the serial path.
+SHARD_CASES = [
+    ("softmax-3-rows", "softmax", lambda r: (r.standard_normal((3, 7)), -1), (1, 1, 3)),
+    ("log_softmax-3-rows-f32", "log_softmax",
+     lambda r: (r.standard_normal((3, 7)).astype(np.float32), -1), (1, 1, 3)),
+    ("softmax_backward-3d", "softmax_backward",
+     lambda r: (r.standard_normal((2, 3, 5)), r.random((2, 3, 5)), -1), (1, 1, 4)),
+    ("masked_softmax-(1,9)-mask", "masked_softmax",
+     lambda r: (r.standard_normal((2, 5, 9)), _mask(r, (1, 9)), -1), (1, 1, 4)),
+    ("group_softmax-(B,1,n)-query-mask", "group_softmax",
+     lambda r: (r.standard_normal((2, 3, 7, 4)), _counts(r, (2, 3, 4)), _mask(r, (2, 1, 7))),
+     (1, 1, 4)),
+    ("group_softmax-3d-3-batches", "group_softmax",
+     lambda r: (r.standard_normal((3, 7, 4)), _counts(r, (3, 4)), None), (1, 1, 3)),
+    ("group_softmax_backward-4d", "group_softmax_backward",
+     lambda r: (r.standard_normal((2, 3, 7, 4)), r.random((2, 3, 7, 4)), _counts(r, (2, 3, 4))),
+     (1, 1, 4)),
+    ("linear-bias-none", "linear",
+     lambda r: (r.standard_normal((2, 5, 6)), r.standard_normal((4, 6)), None), (1, 1, 4)),
+    ("linear_backward-need-bias-false", "linear_backward",
+     lambda r: (r.standard_normal((2, 5, 4)), r.standard_normal((2, 5, 6)),
+                r.standard_normal((4, 6)), False), (1, 1, 4)),
+    ("layer_norm-3d", "layer_norm",
+     lambda r: (r.standard_normal((2, 5, 8)), r.standard_normal(8), r.standard_normal(8), 1e-5),
+     (1, 1, 4)),
+    ("layer_norm_infer-3d", "layer_norm_infer",
+     lambda r: (r.standard_normal((2, 5, 8)), r.standard_normal(8), r.standard_normal(8), 1e-5),
+     (1, 1, 4)),
+    ("layer_norm_backward-3d", "layer_norm_backward",
+     lambda r: (r.standard_normal((2, 5, 8)), *_layer_norm_cache(r, (2, 5, 8)),
+                r.standard_normal(8)), (1, 1, 4)),
+    ("kmeans_assign-points-sq", "kmeans_assign", _kmeans_with_points_sq, (1, 1, 4)),
+    ("segment_sum-4d", "segment_sum",
+     lambda r: (r.standard_normal((2, 3, 9, 2)), _ids(r, (2, 3, 9)), 4), (1, 1, 4)),
+    # Never sharded: no leading work axis, or nothing to split.
+    ("softmax-1d", "softmax", lambda r: (r.standard_normal(7), -1), (0, 0, 0)),
+    ("softmax-axis-0", "softmax", lambda r: (r.standard_normal((4, 6)), 0), (0, 0, 0)),
+    ("log_softmax-middle-axis", "log_softmax",
+     lambda r: (r.standard_normal((2, 4, 6)), 1), (0, 0, 0)),
+    ("group_softmax-2d", "group_softmax",
+     lambda r: (r.standard_normal((7, 4)), _counts(r, (4,)), None), (0, 0, 0)),
+    ("layer_norm-1d", "layer_norm",
+     lambda r: (r.standard_normal(8), r.standard_normal(8), r.standard_normal(8), 1e-5),
+     (0, 0, 0)),
+    ("softmax-empty-(0,5)", "softmax", lambda r: (np.empty((0, 5)), -1), (1, 0, 0)),
+    ("linear-1d", "linear",
+     lambda r: (r.standard_normal(6), r.standard_normal((4, 6)), r.standard_normal(4)),
+     (1, 0, 0)),
+    ("segment_sum-2d", "segment_sum",
+     lambda r: (r.standard_normal((9, 3)), _ids(r, 9), 4), (1, 0, 0)),
+    ("segment_gather-2d", "segment_gather",
+     lambda r: (r.standard_normal((4, 3)), _ids(r, 9)), (1, 0, 0)),
+    ("segment_count-1d", "segment_count", lambda r: (_ids(r, 9), 4), (1, 0, 0)),
+    ("segment_mean-2d", "segment_mean",
+     lambda r: (r.standard_normal((9, 3)), _ids(r, 9), 4), (1, 0, 0)),
+    ("segment_max-1d", "segment_max",
+     lambda r: (r.standard_normal(9), _ids(r, 9), 4, -1.0), (1, 0, 0)),
+]
+
+
+class TestShardTable:
+    """Edge cases of the shard routine: parity with fused plus exact counters."""
+
+    @pytest.mark.parametrize(
+        "method, build, counters",
+        [pytest.param(*case[1:], id=case[0]) for case in SHARD_CASES],
+    )
+    def test_matches_fused_with_exact_counters(self, rng, method, build, counters):
+        fused, par = _backends()
+        args = build(rng)
+        expected = getattr(fused, method)(*args)
+        par.reset_stats()
+        with force_parallel(4):
+            got = getattr(par, method)(*args)
+        snap = par.snapshot()
+        assert (snap["kernel_calls"], snap["sharded_calls"], snap["shards"]) == counters
+        assert type(got) is type(expected)
+        if not isinstance(expected, tuple):
+            got, expected = (got,), (expected,)
+        assert len(got) == len(expected)
+        for index, (p, f) in enumerate(zip(got, expected)):
+            if f is None:
+                assert p is None
+                continue
+            assert (p.shape, p.dtype) == (f.shape, f.dtype)
+            if method.startswith("linear") and index == 0:
+                # Row-sharded GEMM: BLAS blocking may differ per shard.
+                np.testing.assert_allclose(p, f, atol=1e-12, rtol=0)
+            else:
+                assert np.array_equal(p, f)
 
 
 class TestMechanismParity:

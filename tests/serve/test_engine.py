@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import inspect
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,8 @@ import repro.kernels as K
 from repro.autograd.tensor import no_grad
 from repro.data import pad_ragged
 from repro.errors import ConfigError, ShapeError
-from repro.serve import InferenceEngine
+from repro.serve import InferenceEngine, ModelArtifact, WorkerPool
+from repro.serve.engine import check_engine_options
 
 LENGTHS = [20, 14, 9]
 
@@ -281,3 +284,38 @@ class TestServingHygiene:
             engine.embed(rng.standard_normal((1, 8, 2)), pooling="max")
         with pytest.raises(ShapeError, match="no series"):
             engine.classify([])
+
+
+#: Engine options that are out of range, or unknown: each would crash a
+#: spawned worker's engine build, respawn after respawn.
+BAD_ENGINE_OPTIONS = [
+    pytest.param({"max_batch_size": 0}, id="max_batch_size-0"),
+    pytest.param({"recluster_every": 0}, id="recluster_every-0"),
+    pytest.param({"drift_tolerance": -1.0}, id="drift_tolerance-negative"),
+    pytest.param({"dtype": "int32"}, id="dtype-not-floating"),
+    pytest.param({"recluster": 8}, id="unknown-name"),
+]
+
+
+class TestOptionChecks:
+    @pytest.mark.parametrize("options", BAD_ENGINE_OPTIONS)
+    def test_worker_pool_rejects_in_the_parent(self, options):
+        artifact = ModelArtifact.from_model(make_model())
+        with pytest.raises(ConfigError):
+            WorkerPool(artifact, engine_kwargs=options)
+
+    @pytest.mark.parametrize("options", BAD_ENGINE_OPTIONS)
+    def test_engine_rejects_before_building_the_model(self, options, monkeypatch):
+        def build_model(self, rng=None):
+            raise AssertionError("build_model ran before the option check")
+
+        monkeypatch.setattr(ModelArtifact, "build_model", build_model)
+        artifact = ModelArtifact.from_model(make_model())
+        # An unknown keyword never reaches the check: Python rejects it.
+        with pytest.raises(TypeError if "recluster" in options else ConfigError):
+            InferenceEngine(artifact, **options)
+
+    def test_check_takes_the_engine_options(self):
+        engine = inspect.signature(InferenceEngine).parameters
+        check = inspect.signature(check_engine_options).parameters
+        assert list(engine)[1:] == [name for name in check if name != "unknown"]
