@@ -142,7 +142,6 @@ def run_load(artifact, requests, *, n_workers, rate_per_s, deadline_s,
         attempt_timeout_s=0.12,
         max_redelivery=3,
         backoff_base_s=0.01,
-        length_bucket=8,  # lengths 8..48 spread over the replicas
     )
     interval = 1.0 / rate_per_s
     shed = 0

@@ -1,18 +1,17 @@
 """Shared benchmark harness.
 
 Every benchmark regenerates one paper table/figure at the scaled-down
-geometry, prints it in the paper's layout, and appends it to
-``benchmarks/results/`` so EXPERIMENTS.md can reference the measured
-numbers.  pytest-benchmark wraps each run (rounds=1 — these are full
-training experiments, not microbenchmarks; the attention microbenchmark
-file uses proper rounds).
+geometry and prints it in the paper's layout.  A run never writes into
+the checkout: with ``RITA_GRID_DB`` set, each passing table is logged
+into the experiment grid, and ``grid render`` is the only writer of
+``benchmarks/results/``.  pytest-benchmark wraps each run (rounds=1 —
+these are full training experiments, not microbenchmarks; the attention
+microbenchmark file uses proper rounds).
 """
 
 from __future__ import annotations
 
 import os
-import pathlib
-import platform
 
 import numpy as np
 import pytest
@@ -23,35 +22,16 @@ from repro.experiments.grid import provenance as grid_provenance
 from repro.experiments.grid.render import PYTEST_RECORD_GRID, PYTEST_RECORD_RUNNER
 from repro.experiments.grid.store import GridStore
 
-RESULTS_DIR = pathlib.Path(__file__).parent / "results"
-
 
 _RUN_STAMP: str | None = None
 
 
 def _run_stamp() -> str:
-    """Session-stable UTC timestamp: every file from one run matches."""
+    """Session-stable UTC timestamp: every cell from one run shares it."""
     global _RUN_STAMP
     if _RUN_STAMP is None:
         _RUN_STAMP = grid_provenance.utc_now()
     return _RUN_STAMP
-
-
-def provenance_line() -> str:
-    """One-line run-environment stamp appended to every result file.
-
-    Timings in ``benchmarks/results/`` are only comparable within a single
-    run on a single machine; this records which run produced each file.
-    The timestamp is captured once per pytest session, so every file from
-    one run carries the *identical* line — differing ``# run:`` lines in
-    the results directory therefore reliably mean a mixed-run mosaic.
-    Formatting lives in ``repro.experiments.grid.provenance.run_line`` so
-    ``grid render`` regenerates these files byte-for-byte.
-    """
-    return grid_provenance.run_line(
-        _run_stamp(), platform.platform(), platform.python_version(),
-        np.__version__, os.cpu_count(),
-    )
 
 
 @pytest.fixture(scope="session", autouse=True)
@@ -72,12 +52,6 @@ def _seed():
     yield
 
 
-@pytest.fixture(scope="session")
-def results_dir() -> pathlib.Path:
-    RESULTS_DIR.mkdir(exist_ok=True)
-    return RESULTS_DIR
-
-
 @pytest.hookimpl(wrapper=True, tryfirst=True)
 def pytest_runtest_makereport(item, call):
     report = yield
@@ -86,11 +60,11 @@ def pytest_runtest_makereport(item, call):
 
 
 @pytest.fixture
-def record(results_dir, request):
-    """Print a table and persist it under benchmarks/results/.
+def record(request):
+    """Print a table and, when the test passed, log it into the grid.
 
-    The write is deferred to fixture teardown and only happens when the
-    test passed, so a failing run can never overwrite a committed result
+    The log is deferred to fixture teardown and only happens when the
+    test passed, so a failing run can never reach a rendered result
     artifact with numbers that violate the suite's own assertions.
     """
     pending: list[tuple[str, str]] = []
@@ -104,19 +78,17 @@ def record(results_dir, request):
     call_report = getattr(request.node, "rep_call", None)
     if call_report is not None and call_report.passed:
         for name, text in pending:
-            path = results_dir / f"{name}.txt"
-            path.write_text(text + "\n" + provenance_line() + "\n")
             _log_to_grid(name, text)
 
 
 def _log_to_grid(name: str, text: str) -> None:
-    """Mirror a passing result into the experiment grid database.
+    """Log a passing result into the experiment grid database.
 
     Only when ``RITA_GRID_DB`` points at an initialized grid database
     (see ``python -m repro.experiments.grid init``): the cell carries the
-    same text and the same environment columns as the ``# run:`` stamp,
-    so ``grid render`` can reproduce the file and provenance questions
-    become SQL (EXPERIMENTS.md 'Regeneration policy').
+    text and the environment columns of the ``# run:`` stamp, so ``grid
+    render`` can write the file and provenance questions become SQL
+    (EXPERIMENTS.md 'Regeneration policy').
     """
     db_path = os.environ.get("RITA_GRID_DB")
     if not db_path:

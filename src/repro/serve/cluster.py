@@ -53,6 +53,11 @@ from repro.serve.engine import InferenceEngine, check_engine_options
 
 __all__ = ["WorkerPool", "checksum"]
 
+#: Incarnations of one slot that may die in a row before reporting ready.
+#: At this count the slot is retired instead of respawned: an engine that
+#: cannot build would otherwise respawn forever.
+MAX_FAILED_STARTS = 3
+
 
 def checksum(payload: np.ndarray) -> int:
     """CRC32 over the payload bytes — the reply integrity check.
@@ -167,6 +172,7 @@ class _WorkerSlot:
     response_q: object
     spawned_at: float
     last_beat: float
+    failed_starts: int = 0  #: earlier incarnations in a row that died unready
     ready: bool = False
 
     @property
@@ -217,10 +223,14 @@ class WorkerPool:
         Supervisor loop cadence — bounds failure-detection and listener
         ``tick`` latency.
 
+    A slot whose incarnations die :data:`MAX_FAILED_STARTS` times in a
+    row before reporting ready is retired: it leaves :meth:`workers` and
+    a ``"failed"`` event is logged.  Once every slot is retired,
+    :meth:`alive_count` is 0.
+
     The ``listener`` attribute (set by the router) receives supervision
     events on the supervisor thread: ``on_result(key, req_id, status,
-    payload, digest)``, ``on_worker_lost(key, reason)``,
-    ``on_worker_ready(key)`` and ``tick(now)``.  All are optional.
+    payload, digest)``, ``on_worker_lost(key, reason)`` and ``tick(now)``.
     """
 
     def __init__(
@@ -352,7 +362,7 @@ class WorkerPool:
     # ------------------------------------------------------------------
     # Supervision internals
     # ------------------------------------------------------------------
-    def _spawn_locked(self, worker_id: int, generation: int) -> None:
+    def _spawn_locked(self, worker_id: int, generation: int, failed_starts: int = 0) -> None:
         request_q = self._context.Queue()
         response_q = self._context.Queue()
         process = self._context.Process(
@@ -381,6 +391,7 @@ class WorkerPool:
             response_q=response_q,
             spawned_at=now,
             last_beat=now,
+            failed_starts=failed_starts,
         )
         self.stats.spawns_total += 1
         if generation > 0:
@@ -434,7 +445,6 @@ class WorkerPool:
         now = time.monotonic()
         if kind in ("hb", "ready"):
             _, worker_id, generation = message
-            ready_key = None
             with self._lock:
                 slot = self._slots.get(worker_id)
                 if slot is None or slot.generation != generation:
@@ -443,10 +453,6 @@ class WorkerPool:
                 if kind == "ready" and not slot.ready:
                     slot.ready = True
                     self.stats.events.append((now, "ready", worker_id, generation))
-                    ready_key = slot.key
-            listener = self.listener
-            if ready_key is not None and listener is not None:
-                listener.on_worker_ready(ready_key)
         elif kind == "res":
             _, worker_id, generation, req_id, status, payload, digest = message
             listener = self.listener
@@ -480,7 +486,12 @@ class WorkerPool:
                         slot.process.kill()
                 slot.request_q.cancel_join_thread()
                 lost.append((slot.key, reason, slot.response_q))
-                self._spawn_locked(slot.worker_id, slot.generation + 1)
+                failed_starts = 0 if slot.ready else slot.failed_starts + 1
+                if failed_starts < MAX_FAILED_STARTS:
+                    self._spawn_locked(slot.worker_id, slot.generation + 1, failed_starts)
+                else:
+                    del self._slots[slot.worker_id]
+                    self.stats.events.append((now, "failed", slot.worker_id, slot.generation))
         listener = self.listener
         for key, reason, response_q in lost:
             # Results the incarnation sent before dying are still valid —

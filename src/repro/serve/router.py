@@ -15,11 +15,9 @@ Mechanisms, in dispatch order:
   a streak of infrastructure failures), requests *degrade* to a serial
   in-process engine built from the same artifact instead of failing;
   the breaker closes again once workers are back;
-* **length-aware sharding** — requests hash by length bucket to a
-  preferred worker (PR 2's recluster cache stays warm per worker
-  because similar-length traffic keeps landing on the same replica),
-  falling back to shortest-queue when the preferred replica is loaded
-  or unavailable;
+* **least-loaded dispatch** — a request goes to the live incarnation,
+  among those it has not tried, with the fewest requests in flight;
+  ties go to the lowest worker id;
 * **deadlines** — per-request budgets enforced in three places: shipped
   to the worker (fail fast mid-compute), scanned by the supervisor tick
   (a late reply cannot hold the future), and on the client wait;
@@ -110,7 +108,6 @@ class _Request:
     endpoint: str
     payload: dict
     future: ClusterFuture
-    length: int
     deadline: Deadline | None
     attempts: int = 0
     tried: set = field(default_factory=set)   #: incarnation keys dispatched to
@@ -161,11 +158,6 @@ class Router:
     backoff_base_s / backoff_cap_s:
         Capped exponential backoff between re-dispatches
         (``min(base * 2**(attempt-1), cap)``).
-    length_bucket:
-        Width of the length buckets used for affinity sharding.
-    queue_slack:
-        How many requests deeper than the shortest queue the affinity
-        worker may be before shortest-queue routing overrides affinity.
     breaker_failure_threshold / breaker_cooldown_s:
         Consecutive infrastructure failures (crashes, timeouts, corrupt
         replies) that open the circuit breaker, and how long it stays
@@ -186,8 +178,6 @@ class Router:
         max_redelivery: int = 2,
         backoff_base_s: float = 0.02,
         backoff_cap_s: float = 0.5,
-        length_bucket: int = 128,
-        queue_slack: int = 4,
         breaker_failure_threshold: int = 4,
         breaker_cooldown_s: float = 1.0,
         degrade_to_serial: bool = True,
@@ -196,8 +186,6 @@ class Router:
             raise ConfigError("max_inflight must be >= 1")
         if max_redelivery < 0:
             raise ConfigError("max_redelivery must be >= 0")
-        if length_bucket < 1:
-            raise ConfigError("length_bucket must be >= 1")
         self.pool = pool
         self.max_inflight = int(max_inflight)
         self.default_deadline_s = default_deadline_s
@@ -205,8 +193,6 @@ class Router:
         self.max_redelivery = int(max_redelivery)
         self.backoff_base_s = float(backoff_base_s)
         self.backoff_cap_s = float(backoff_cap_s)
-        self.length_bucket = int(length_bucket)
-        self.queue_slack = int(queue_slack)
         self.breaker_failure_threshold = int(breaker_failure_threshold)
         self.breaker_cooldown_s = float(breaker_cooldown_s)
         self.degrade_to_serial = bool(degrade_to_serial)
@@ -275,7 +261,6 @@ class Router:
                 endpoint=endpoint,
                 payload=payload,
                 future=future,
-                length=_series_length(series),
                 deadline=None if deadline_s is None else Deadline.after(deadline_s),
             )
             self._inflight[request.req_id] = request
@@ -383,21 +368,17 @@ class Router:
         return future
 
     # ------------------------------------------------------------------
-    # Dispatch + sharding
+    # Dispatch
     # ------------------------------------------------------------------
-    def _affinity_worker(self, length: int, n_workers: int) -> int:
-        """Length-bucket hash: similar lengths land on the same replica."""
-        bucket = length // self.length_bucket
-        return (bucket * 2654435761) % 4294967296 % n_workers
-
     def _dispatch_locked(self, request: _Request) -> None:
         """Pick a worker and ship the request; reschedule when none fits.
 
         Candidates are live incarnations the request has not tried
-        (at-most-once per incarnation).  The affinity replica wins unless
-        its queue is ``queue_slack`` deeper than the shortest; when every
+        (at-most-once per incarnation); the one with the fewest requests
+        in flight wins, ties going to the lowest worker id.  When every
         live incarnation has been tried, the request waits for a respawn
-        (bounded by its deadline).
+        (bounded by its deadline).  When the pool has retired every slot
+        no respawn will come, so the request fails typed instead.
         """
         workers = self.pool.workers()
         candidates = [
@@ -406,21 +387,17 @@ class Router:
             if alive and (worker_id, generation) not in request.tried
         ]
         if not candidates:
+            if not workers:
+                self._fail_locked(
+                    request, WorkerCrashError("every worker slot failed start-up and was retired")
+                )
+                return
             request.assigned = None
             request.retry_at = time.monotonic() + self.backoff_base_s
             return
-        depths = {
-            key: len(self._by_worker.get(key, ())) for key in candidates
-        }
-        best = min(depths.values())
-        preferred_id = self._affinity_worker(request.length, len(workers))
-        choice = None
-        for key in candidates:
-            if key[0] == preferred_id and depths[key] <= best + self.queue_slack:
-                choice = key
-                break
-        if choice is None:
-            choice = min(candidates, key=lambda key: (depths[key], key))
+        choice = min(
+            candidates, key=lambda key: (len(self._by_worker.get(key, ())), key)
+        )
         remaining = None if request.deadline is None else request.deadline.remaining()
         payload = dict(request.payload, deadline_s=remaining)
         dispatched = self.pool.dispatch(
@@ -539,10 +516,6 @@ class Router:
                     ),
                 )
 
-    def on_worker_ready(self, key) -> None:  # noqa: ARG002 - interface hook
-        # Retries waiting for capacity are picked up by the next tick.
-        return
-
     def tick(self, now: float) -> None:
         """Periodic maintenance on the supervisor thread.
 
@@ -578,17 +551,3 @@ class Router:
                 if request.retry_at is not None and now >= request.retry_at:
                     request.retry_at = None
                     self._dispatch_locked(request)
-
-
-def _series_length(series) -> int:
-    """Best-effort request length for affinity sharding."""
-    if isinstance(series, (list, tuple)):
-        if not series:
-            return 0
-        return max(int(np.asarray(item).shape[0]) for item in series)
-    arr = np.asarray(series)
-    if arr.ndim >= 3:
-        return int(arr.shape[1])
-    if arr.ndim >= 1:
-        return int(arr.shape[0])
-    return 0

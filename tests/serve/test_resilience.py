@@ -15,6 +15,7 @@ would be meaningless.
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import time
 
 import numpy as np
@@ -136,6 +137,30 @@ class TestWorkerKill:
             with pytest.raises(WorkerCrashError, match="was lost") as excinfo:
                 future.result(timeout=30.0)
             assert isinstance(excinfo.value, ReproError)
+
+
+class TestStartupFailure:
+    def test_slot_that_never_builds_is_retired(self, artifact):
+        # One weight is missing, so every incarnation's engine build
+        # raises before the worker reports ready.  After three such
+        # deaths in a row the slot is retired instead of respawned; the
+        # request in flight fails typed, and with no live worker left the
+        # breaker degrades to the serial engine, whose build fails typed.
+        weights = dict(artifact.weights)
+        weights.pop(sorted(weights)[0])
+        broken = dataclasses.replace(artifact, weights=weights)
+        with cluster(broken, n_workers=1, router=dict(max_redelivery=5)) as (pool, router):
+            early = router.submit("classify", make_requests(1)[0])
+            with pytest.raises(WorkerCrashError, match="retired"):
+                early.result(timeout=60.0)
+            assert wait_until(lambda: pool.workers() == [], timeout=30.0)
+            assert pool.alive_count() == 0
+            assert pool.stats.spawns_total == 3
+            assert [event[1] for event in pool.stats.events].count("failed") == 1
+            start = time.monotonic()
+            with pytest.raises(ConfigError, match="state dict mismatch"):
+                router.request("classify", make_requests(1)[0], deadline_s=10.0)
+            assert time.monotonic() - start < 10.0
 
 
 class TestCorruptReplies:
