@@ -22,7 +22,8 @@ The assigned ranks (lower = more fundamental):
 ====  ==============================================================
 rank  module prefixes
 ====  ==============================================================
-0     ``errors``, ``rng``, ``serialize``, ``simgpu``, ``analysis``
+0     ``errors``, ``rng``, ``serialize``, ``simgpu``, ``analysis``,
+      ``supervision``
 1     ``kernels.policy|threads|backend|fused|parallel`` (backends),
       ``faultfs`` (the adversarial IOProvider over ``serialize``)
 2     ``autograd.tensor`` (imports only the dtype policy)
@@ -39,7 +40,8 @@ rank  module prefixes
 ====  ==============================================================
 
 ``repro`` itself (the package root) is the public facade re-exporting
-every layer and is exempt.
+every layer and is exempt.  Any other ``repro.*`` module without a rank
+is itself a finding: its imports could not be checked.
 """
 
 from __future__ import annotations
@@ -58,6 +60,7 @@ LAYER_RANKS = {
     "repro.serialize": 0,
     "repro.simgpu": 0,
     "repro.analysis": 0,
+    "repro.supervision": 0,
     "repro.faultfs": 1,
     "repro.kernels.policy": 1,
     "repro.kernels.threads": 1,
@@ -169,6 +172,12 @@ class LayeringRule(Rule):
         if module.name in EXEMPT_MODULES:
             return
         own_rank = rank_of(module.name)
+        if own_rank is None and _matches(module.name, "repro"):
+            yield (
+                module.tree,
+                f"unranked module: {module.name} matches no prefix in "
+                f"LAYER_RANKS; give it a rank so its imports are checked",
+            )
         collector = _ImportCollector(module)
         collector.visit(module.tree)
         for node, target, deferred in collector.edges:

@@ -51,8 +51,8 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--max-cells", type=int, default=None)
     run.add_argument("--worker-id", default=None)
     run.add_argument("--stale-after", type=float, default=300.0, metavar="SECONDS",
-                     help="claims with no heartbeat for this long are re-claimable")
-    run.add_argument("--heartbeat-interval", type=float, default=15.0, metavar="SECONDS")
+                     help="claims with no heartbeat for this long are re-claimable "
+                          "(workers beat 20 times per this window)")
     run.add_argument("--runners", action="append", default=[], metavar="MODULE",
                      help="extra module to import for registered runners (repeatable)")
 
@@ -121,7 +121,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         db_path=args.db,
         grid=args.grid,
         stale_after_s=args.stale_after,
-        heartbeat_interval_s=args.heartbeat_interval,
         max_cells=args.max_cells,
         runner_modules=tuple(args.runners),
     )

@@ -3,9 +3,10 @@
 A worker is deliberately boring — all the concurrency guarantees live in
 :mod:`repro.experiments.grid.store`.  What the worker adds:
 
-* a background heartbeat thread (own :class:`GridStore` connection; the
-  store is single-thread) that keeps the claim fresh while a slow cell
-  trains, so honest long cells are not "stale";
+* a heartbeat thread (:func:`repro.supervision.heartbeat`, 20 beats per
+  ``stale_after_s``; each beat opens its own :class:`GridStore`
+  connection, since the store is single-thread) that keeps the claim
+  fresh while a slow cell trains, so honest long cells are not "stale";
 * per-cell seeding: ``repro.seed_all(params["seed"])`` before the runner
   fires, so a cell's result is identical whether it runs first in a
   fresh process or tenth in a long-lived worker;
@@ -22,15 +23,15 @@ token check and the result is discarded (counted in ``lost``).
 from __future__ import annotations
 
 import os
-import threading
 import traceback
 import uuid
 from dataclasses import dataclass, field
 
-from repro.errors import GridStateError
+from repro.errors import ConfigError, GridStateError
 from repro.experiments.grid import provenance
 from repro.experiments.grid.runners import get_runner, load_runner_modules
 from repro.experiments.grid.store import Claim, GridStore
+from repro.supervision import heartbeat
 
 __all__ = ["WorkerConfig", "WorkerReport", "run_worker"]
 
@@ -47,9 +48,12 @@ class WorkerConfig:
     grid: str | None = None
     worker_id: str = field(default_factory=_default_worker_id)
     stale_after_s: float = 300.0
-    heartbeat_interval_s: float = 15.0
     max_cells: int | None = None
     runner_modules: tuple[str, ...] = ()
+
+    def __post_init__(self) -> None:
+        if self.stale_after_s <= 0:
+            raise ConfigError(f"stale_after_s must be > 0, got {self.stale_after_s}")
 
 
 @dataclass
@@ -66,32 +70,6 @@ class WorkerReport:
         return self.done + self.errors + self.lost
 
 
-class _Heartbeater:
-    """Daemon thread refreshing one claim on its own store connection."""
-
-    def __init__(self, db_path: str, claim: Claim, interval_s: float) -> None:
-        self._db_path = db_path
-        self._claim = claim
-        self._interval_s = interval_s
-        self._stop = threading.Event()
-        self._thread = threading.Thread(
-            target=self._pulse, name=f"grid-heartbeat-{claim.cell_id}", daemon=True
-        )
-
-    def __enter__(self) -> "_Heartbeater":
-        self._thread.start()
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self._stop.set()
-        self._thread.join(timeout=self._interval_s + 5.0)
-
-    def _pulse(self) -> None:
-        with GridStore(self._db_path) as store:
-            while not self._stop.wait(self._interval_s):
-                if not store.heartbeat(self._claim):
-                    return  # claim stolen; finish_* will surface it
-
 def _run_cell(store: GridStore, config: WorkerConfig, claim: Claim,
               report: WorkerReport) -> None:
     seed = claim.params.get("seed")
@@ -99,8 +77,14 @@ def _run_cell(store: GridStore, config: WorkerConfig, claim: Claim,
         import repro
 
         repro.seed_all(seed)
+
+    def beat() -> bool:
+        # False (claim stolen) stops the beats; finish_* will surface it.
+        with GridStore(store.path) as beat_store:
+            return beat_store.heartbeat(claim)
+
     try:
-        with _Heartbeater(store.path, claim, config.heartbeat_interval_s):
+        with heartbeat(config.stale_after_s, beat, f"grid-heartbeat-{claim.cell_id}"):
             result = get_runner(claim.runner)(claim.params)
         store.finish_done(
             claim, result,

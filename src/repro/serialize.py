@@ -74,7 +74,6 @@ __all__ = [
     "encode_json",
     "integrity_entry",
     "io_scope",
-    "open_archive",
     "read_format_version",
     "read_verified",
     "read_with_backup",
@@ -487,24 +486,3 @@ def read_with_backup(
                 f"{primary_error} (backup {bak} also unusable: {backup_error})"
             ) from None
         return payload, True
-
-
-def open_archive(path: str | pathlib.Path, what: str = "bundle") -> np.lib.npyio.NpzFile:
-    """Legacy lazy open: ``np.load`` with typed errors on bad files.
-
-    Kept for callers that only peek at a bundle (e.g. inspecting a
-    header without decompressing weights).  Note the laziness caveat:
-    entry reads can still fail on truncated members — loaders should
-    prefer :func:`read_verified`, which is eager and digest-checked.
-    """
-    resolved = resolve_npz_path(path)
-    if not resolved.exists():
-        raise ConfigError(f"{what} not found: {resolved}")
-    try:
-        archive = np.load(resolved)
-    except (ValueError, OSError, EOFError, zipfile.BadZipFile) as exc:
-        raise IntegrityError(f"could not read {what} {resolved}: {exc}") from None
-    if not isinstance(archive, np.lib.npyio.NpzFile):
-        # np.load returns a bare array for .npy files — not a bundle.
-        raise ConfigError(f"{what} {resolved} is not an .npz bundle")
-    return archive

@@ -8,10 +8,11 @@ as the normal case:
 * **spawned, never forked** — a worker is a fresh interpreter that
   rebuilds its engine from the artifact, so respawning one is the same
   code path as starting it;
-* **heartbeats** — every worker runs a daemon thread that beats on its
-  own response queue; the supervisor thread declares a worker dead
-  when its process exits *or* its heartbeats go stale (a wedged or
-  partitioned worker looks exactly like a crashed one from outside);
+* **heartbeats** — every worker beats on its own response queue
+  (:func:`repro.supervision.heartbeat`, 20 beats per timeout); the
+  supervisor thread declares a worker dead when its process exits *or*
+  its heartbeats go stale (a wedged or partitioned worker looks exactly
+  like a crashed one from outside);
 * **one writer per queue** — each incarnation gets private request *and*
   response queues: a multiprocessing queue's write lock is shared among
   its writers, so a worker hard-killed mid-write on a pooled queue
@@ -50,6 +51,7 @@ from repro.errors import ConfigError, ReproError, ServingError
 from repro.serve.artifact import ModelArtifact
 from repro.serve.chaos import ChaosSchedule
 from repro.serve.engine import InferenceEngine, check_engine_options
+from repro.supervision import heartbeat
 
 __all__ = ["WorkerPool", "checksum"]
 
@@ -57,6 +59,12 @@ __all__ = ["WorkerPool", "checksum"]
 #: At this count the slot is retired instead of respawned: an engine that
 #: cannot build would otherwise respawn forever.
 MAX_FAILED_STARTS = 3
+#: How long a spawned worker may take to report ready before it is
+#: declared dead (interpreter start + engine build).
+SPAWN_GRACE_S = 60.0
+#: Supervisor loop cadence: bounds failure-detection and listener
+#: ``tick`` latency.
+POLL_INTERVAL_S = 0.02
 
 
 def checksum(payload: np.ndarray) -> int:
@@ -81,7 +89,7 @@ def _worker_main(
     request_q,
     response_q,
     backend_name: str,
-    heartbeat_interval_s: float,
+    heartbeat_timeout_s: float,
 ) -> None:
     """One worker: build the engine, beat, serve until told to stop.
 
@@ -101,53 +109,45 @@ def _worker_main(
     set_num_threads(1)  # process-level replication owns the cores
     engine = InferenceEngine(artifact, **engine_kwargs)
 
-    stop_beating = threading.Event()
-
     def beat() -> None:
-        while not stop_beating.wait(heartbeat_interval_s):
-            if chaos.drops_heartbeat(worker_id, generation):
-                continue
+        response_q.put(("hb", worker_id, generation))
+
+    with heartbeat(heartbeat_timeout_s, beat, "rita-heartbeat") as stop_beating:
+        if chaos.drops_heartbeat(worker_id, generation):
+            stop_beating.set()
+        response_q.put(("ready", worker_id, generation))
+        seq = 0
+        while True:
+            message = request_q.get()
+            if message[0] == "stop":
+                break
+            _, req_id, endpoint, payload = message
+            this_seq, seq = seq, seq + 1
+            if chaos.should_kill(worker_id, generation, this_seq):
+                os._exit(17)  # hard crash: no cleanup, request left in flight
             try:
-                response_q.put(("hb", worker_id, generation))
-            except Exception:  # pragma: no cover - parent gone; exit quietly
-                return
-
-    threading.Thread(target=beat, name="rita-heartbeat", daemon=True).start()
-    response_q.put(("ready", worker_id, generation))
-
-    seq = 0
-    while True:
-        message = request_q.get()
-        if message[0] == "stop":
-            break
-        _, req_id, endpoint, payload = message
-        this_seq, seq = seq, seq + 1
-        if chaos.should_kill(worker_id, generation, this_seq):
-            os._exit(17)  # hard crash: no cleanup, request left in flight
-        try:
-            fn = engine.endpoint(endpoint)
-            with deadline_scope(payload.get("deadline_s")):
-                result = np.asarray(fn(payload["series"], **payload.get("kwargs", {})))
-            digest = checksum(result)
-            if chaos.should_corrupt(worker_id, generation, this_seq):
-                result = chaos.corrupt(result)
-            reply = ("res", worker_id, generation, req_id, "ok", result, digest)
-            delay = chaos.delay_for(worker_id, generation, this_seq)
-            if delay > 0:
-                # Deliver the reply late *without* wedging the serve loop:
-                # the injected fault is a slow reply in transit, not a
-                # stuck worker (drop_heartbeats models that one).
-                timer = threading.Timer(delay, response_q.put, args=(reply,))
-                timer.daemon = True
-                timer.start()
-            else:
-                response_q.put(reply)
-        except ReproError as exc:
-            response_q.put(("res", worker_id, generation, req_id, "err", exc, None))
-        except Exception as exc:  # noqa: BLE001 - must cross the pipe typed
-            wrapped = ServingError(f"worker endpoint failed: {type(exc).__name__}: {exc}")
-            response_q.put(("res", worker_id, generation, req_id, "err", wrapped, None))
-    stop_beating.set()
+                fn = engine.endpoint(endpoint)
+                with deadline_scope(payload.get("deadline_s")):
+                    result = np.asarray(fn(payload["series"], **payload.get("kwargs", {})))
+                digest = checksum(result)
+                if chaos.should_corrupt(worker_id, generation, this_seq):
+                    result = chaos.corrupt(result)
+                reply = ("res", worker_id, generation, req_id, "ok", result, digest)
+                delay = chaos.delay_for(worker_id, generation, this_seq)
+                if delay > 0:
+                    # Deliver the reply late *without* wedging the serve loop:
+                    # the injected fault is a slow reply in transit, not a
+                    # stuck worker (drop_heartbeats models that one).
+                    timer = threading.Timer(delay, response_q.put, args=(reply,))
+                    timer.daemon = True
+                    timer.start()
+                else:
+                    response_q.put(reply)
+            except ReproError as exc:
+                response_q.put(("res", worker_id, generation, req_id, "err", exc, None))
+            except Exception as exc:  # noqa: BLE001 - must cross the pipe typed
+                wrapped = ServingError(f"worker endpoint failed: {type(exc).__name__}: {exc}")
+                response_q.put(("res", worker_id, generation, req_id, "err", wrapped, None))
 
 
 # ----------------------------------------------------------------------
@@ -213,15 +213,10 @@ class WorkerPool:
     chaos:
         Optional :class:`ChaosSchedule` shipped to workers (tests and the
         resilience benchmark; ``None`` = no injected faults).
-    heartbeat_interval_s / heartbeat_timeout_s:
-        Worker beat cadence, and how stale a ready worker's last beat may
-        go before the supervisor declares it dead and replaces it.
-    spawn_grace_s:
-        How long a spawned worker may take to report ready before it is
-        declared dead (covers interpreter start + engine build).
-    poll_interval_s:
-        Supervisor loop cadence — bounds failure-detection and listener
-        ``tick`` latency.
+    heartbeat_timeout_s:
+        How stale a ready worker's last beat may go before the supervisor
+        declares it dead and replaces it.  Workers beat 20 times per
+        timeout (:data:`repro.supervision.BEATS_PER_TIMEOUT`).
 
     A slot whose incarnations die :data:`MAX_FAILED_STARTS` times in a
     row before reporting ready is retired: it leaves :meth:`workers` and
@@ -239,15 +234,12 @@ class WorkerPool:
         n_workers: int = 2,
         engine_kwargs: dict | None = None,
         chaos: ChaosSchedule | None = None,
-        heartbeat_interval_s: float = 0.1,
         heartbeat_timeout_s: float = 2.0,
-        spawn_grace_s: float = 60.0,
-        poll_interval_s: float = 0.02,
     ) -> None:
         if n_workers < 1:
             raise ConfigError("n_workers must be >= 1")
-        if heartbeat_timeout_s <= heartbeat_interval_s:
-            raise ConfigError("heartbeat_timeout_s must exceed heartbeat_interval_s")
+        if heartbeat_timeout_s <= 0:
+            raise ConfigError(f"heartbeat_timeout_s must be > 0, got {heartbeat_timeout_s}")
         check_engine_options(**(engine_kwargs or {}))
         if not isinstance(artifact, ModelArtifact):
             artifact = ModelArtifact.from_model(artifact)
@@ -255,10 +247,7 @@ class WorkerPool:
         self.n_workers = int(n_workers)
         self.engine_kwargs = dict(engine_kwargs or {})
         self.chaos = chaos if chaos is not None else ChaosSchedule()
-        self.heartbeat_interval_s = float(heartbeat_interval_s)
         self.heartbeat_timeout_s = float(heartbeat_timeout_s)
-        self.spawn_grace_s = float(spawn_grace_s)
-        self.poll_interval_s = float(poll_interval_s)
         self.listener = None
         self.stats = PoolStats()
         self._lock = threading.RLock()
@@ -376,7 +365,7 @@ class WorkerPool:
                 request_q,
                 response_q,
                 self._backend_name,
-                self.heartbeat_interval_s,
+                self.heartbeat_timeout_s,
             ),
             name=f"rita-worker-{worker_id}-g{generation}",
             daemon=True,
@@ -410,9 +399,7 @@ class WorkerPool:
                 # Wake on the first reply/heartbeat from any worker
                 # (each incarnation has its own response queue; this
                 # parent is the only reader of all of them).
-                ready = mp_connection.wait(
-                    list(by_reader), timeout=self.poll_interval_s
-                )
+                ready = mp_connection.wait(list(by_reader), timeout=POLL_INTERVAL_S)
             except OSError:  # pragma: no cover - reader closed mid-wait
                 ready = []
             for reader in ready:
@@ -473,7 +460,7 @@ class WorkerPool:
                 elif slot.ready and now - slot.last_beat > self.heartbeat_timeout_s:
                     reason = "heartbeat-timeout"
                     self.stats.heartbeat_timeouts_total += 1
-                elif not slot.ready and now - slot.spawned_at > self.spawn_grace_s:
+                elif not slot.ready and now - slot.spawned_at > SPAWN_GRACE_S:
                     reason = "spawn-timeout"  # pragma: no cover - 60s default
                     self.stats.crashes_total += 1
                 if reason is None:

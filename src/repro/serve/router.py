@@ -49,6 +49,7 @@ from repro.errors import (
 )
 from repro.serve.cluster import WorkerPool, checksum
 from repro.serve.deadlines import Deadline, deadline_scope
+from repro.supervision import backoff
 
 __all__ = ["Router", "ClusterFuture", "RouterStats", "ROUTABLE_ENDPOINTS"]
 
@@ -56,6 +57,8 @@ __all__ = ["Router", "ClusterFuture", "RouterStats", "ROUTABLE_ENDPOINTS"]
 #: (checksummable, concatenable).  ``search`` returns nested tuples and
 #: stays an in-process engine call.
 ROUTABLE_ENDPOINTS = ("classify", "predict", "embed", "reconstruct", "forecast")
+#: Longest wait between two dispatches of one request.
+BACKOFF_CAP_S = 0.5
 
 
 class ClusterFuture:
@@ -155,18 +158,16 @@ class Router:
     max_redelivery:
         Retry budget: a request is dispatched at most ``1 +
         max_redelivery`` times, at most once per worker incarnation.
-    backoff_base_s / backoff_cap_s:
-        Capped exponential backoff between re-dispatches
-        (``min(base * 2**(attempt-1), cap)``).
+    backoff_base_s:
+        First wait before a re-dispatch, in ``[0, BACKOFF_CAP_S]``; each
+        later one doubles, up to :data:`BACKOFF_CAP_S`
+        (:func:`repro.supervision.backoff`).
     breaker_failure_threshold / breaker_cooldown_s:
         Consecutive infrastructure failures (crashes, timeouts, corrupt
         replies) that open the circuit breaker, and how long it stays
-        open before probing the pool again.
-    degrade_to_serial:
-        When the breaker is open, serve requests inline on a serial
-        in-process engine built from the pool's artifact (graceful
-        degradation) instead of failing them with
-        :class:`ServingError`.
+        open before probing the pool again.  While it is open, requests
+        are served inline on a serial in-process engine built from the
+        pool's artifact.
     """
 
     def __init__(
@@ -177,25 +178,25 @@ class Router:
         attempt_timeout_s: float | None = None,
         max_redelivery: int = 2,
         backoff_base_s: float = 0.02,
-        backoff_cap_s: float = 0.5,
         breaker_failure_threshold: int = 4,
         breaker_cooldown_s: float = 1.0,
-        degrade_to_serial: bool = True,
     ) -> None:
         if max_inflight < 1:
             raise ConfigError("max_inflight must be >= 1")
         if max_redelivery < 0:
             raise ConfigError("max_redelivery must be >= 0")
+        if not 0 <= backoff_base_s <= BACKOFF_CAP_S:
+            raise ConfigError(
+                f"backoff_base_s must be in [0, {BACKOFF_CAP_S}], got {backoff_base_s}"
+            )
         self.pool = pool
         self.max_inflight = int(max_inflight)
         self.default_deadline_s = default_deadline_s
         self.attempt_timeout_s = attempt_timeout_s
         self.max_redelivery = int(max_redelivery)
         self.backoff_base_s = float(backoff_base_s)
-        self.backoff_cap_s = float(backoff_cap_s)
         self.breaker_failure_threshold = int(breaker_failure_threshold)
         self.breaker_cooldown_s = float(breaker_cooldown_s)
-        self.degrade_to_serial = bool(degrade_to_serial)
         self.stats = RouterStats()
         self._lock = threading.RLock()
         self._inflight: dict[int, _Request] = {}
@@ -335,11 +336,6 @@ class Router:
         exactly like a worker reply, so callers cannot tell the ladder
         rung apart except by latency and ``stats.degraded_total``.
         """
-        if not self.degrade_to_serial:
-            with self._lock:
-                self.stats.failed_total += 1
-            future._fail(ServingError("worker pool unhealthy and degradation disabled"))
-            return future
         try:
             with self._fallback_lock:
                 if self._fallback_engine is None:
@@ -445,11 +441,9 @@ class Router:
         if request.attempts > self.max_redelivery:
             self._fail_locked(request, error)
             return
-        backoff = min(
-            self.backoff_base_s * (2 ** max(0, request.attempts - 1)),
-            self.backoff_cap_s,
+        request.retry_at = time.monotonic() + backoff(
+            request.attempts, self.backoff_base_s, BACKOFF_CAP_S
         )
-        request.retry_at = time.monotonic() + backoff
         self.stats.retries_total += 1
 
     def _fail_locked(self, request: _Request, error: Exception) -> None:

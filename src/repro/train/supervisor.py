@@ -6,7 +6,8 @@ an unsupervised run turns any of them into lost wall-clock and a
 hand-run resume.  This module closes the loop: training executes in a
 **subprocess** that checkpoints durably every epoch
 (:class:`~repro.train.checkpoint.CheckpointManager`: atomic +
-digest-stamped + ``.bak``-rotated + pruned) and sends heartbeats; the
+digest-stamped + ``.bak``-rotated + pruned) and sends heartbeats
+(:func:`repro.supervision.heartbeat`, 20 per ``heartbeat_timeout``); the
 parent :class:`Supervisor` watches for
 
 * **crashes** — the child exits (SIGKILL, OOM, unhandled exception, a
@@ -17,7 +18,8 @@ parent :class:`Supervisor` watches for
   :class:`~repro.errors.DivergenceError`; the poisoned epoch is never
   checkpointed;
 
-and recovers by respawning the child with capped exponential backoff.
+and recovers by respawning the child with capped exponential backoff
+(:func:`repro.supervision.backoff`).
 Each incarnation rolls back to the **newest checkpoint that passes
 verification** (corrupt files are skipped, ``.bak`` rotations consulted)
 and replays from there.  Because the training recipe is deterministic
@@ -56,6 +58,7 @@ import numpy as np
 
 from repro.errors import ConfigError, DivergenceError, SupervisorError
 from repro.faultfs import FaultSchedule, fault_scope
+from repro.supervision import backoff, heartbeat
 from repro.train.checkpoint import CheckpointManager
 
 __all__ = ["Supervisor", "SupervisedRun", "TrainingRecipe", "TrainPlan"]
@@ -154,13 +157,12 @@ class SupervisedRun:
 class _Spec:
     """Everything the child needs, shipped picklable across the spawn."""
 
-    factory: Callable[..., TrainingRecipe]
-    factory_kwargs: dict
+    factory: Callable[[], TrainingRecipe]
     epochs: int
     checkpoint_dir: str
     prefix: str
     keep_last: int
-    heartbeat_interval: float
+    heartbeat_timeout: float
     dtype_name: str
     plan: TrainPlan
 
@@ -172,33 +174,25 @@ def _child_main(conn, spec: _Spec, generation: int) -> None:
     repro.kernels.set_default_dtype(np.dtype(spec.dtype_name))
 
     send_lock = threading.Lock()
-    stop_heartbeat = threading.Event()
 
     def _send(message: dict) -> None:
         with send_lock:
             conn.send(message)
 
-    def _heartbeat() -> None:
-        while not stop_heartbeat.wait(spec.heartbeat_interval):
-            try:
-                _send({"type": "hb"})
-            except OSError:  # parent gone; nothing left to report to
-                return
+    def beat() -> None:
+        _send({"type": "hb"})
 
-    beater = threading.Thread(target=_heartbeat, name="supervisor-heartbeat", daemon=True)
-    beater.start()
     try:
-        schedule = spec.plan.fault_schedules.get(generation)
-        if schedule is not None:
-            with fault_scope(schedule):
+        with heartbeat(spec.heartbeat_timeout, beat, "supervisor-heartbeat") as stop_heartbeat:
+            schedule = spec.plan.fault_schedules.get(generation)
+            if schedule is not None:
+                with fault_scope(schedule):
+                    _train_incarnation(_send, stop_heartbeat, spec, generation)
+            else:
                 _train_incarnation(_send, stop_heartbeat, spec, generation)
-        else:
-            _train_incarnation(_send, stop_heartbeat, spec, generation)
     except DivergenceError as exc:
-        stop_heartbeat.set()
         _send({"type": "diverged", "detail": str(exc)})
     finally:
-        stop_heartbeat.set()
         conn.close()
 
 
@@ -207,7 +201,7 @@ def _train_incarnation(send, stop_heartbeat, spec: _Spec, generation: int) -> No
     from repro.data.dataloader import DataLoader
     from repro.train.trainer import Trainer
 
-    recipe = spec.factory(**spec.factory_kwargs)
+    recipe = spec.factory()
     if not isinstance(recipe, TrainingRecipe):
         raise ConfigError(
             f"supervisor factory must return a TrainingRecipe, "
@@ -271,8 +265,8 @@ class Supervisor:
     ----------
     factory:
         Module-level callable returning a :class:`TrainingRecipe`; called
-        once per child incarnation with ``factory_kwargs``.  Must be
-        picklable (``spawn``-safe) and deterministic.
+        with no arguments once per child incarnation.  Must be picklable
+        (``spawn``-safe) and deterministic.
     epochs:
         Total epochs to train.  Progress is tracked in checkpoint
         metadata, so incarnations (and supervisor reruns) resume rather
@@ -283,6 +277,8 @@ class Supervisor:
         Checkpoints retained after pruning (each with a ``.bak``).
     heartbeat_timeout:
         Seconds of child silence before it is declared hung and killed.
+        The child beats 20 times per timeout
+        (:data:`repro.supervision.BEATS_PER_TIMEOUT`).
     max_restarts:
         Failed incarnations tolerated before giving up with
         :class:`~repro.errors.SupervisorError` /
@@ -290,29 +286,22 @@ class Supervisor:
     backoff_base, backoff_cap:
         Capped exponential delay between respawns:
         ``min(backoff_base * 2**(restarts-1), backoff_cap)``.
-    start_method:
-        ``multiprocessing`` start method; default ``fork`` where
-        available (fast, test-friendly) else ``spawn``.  The recipe is
-        rebuilt from the factory either way, so both behave identically.
     plan:
         Optional :class:`TrainPlan` fault injection (tests only).
     """
 
     def __init__(
         self,
-        factory: Callable[..., TrainingRecipe],
+        factory: Callable[[], TrainingRecipe],
         *,
         epochs: int,
         checkpoint_dir,
-        factory_kwargs: dict | None = None,
         prefix: str = "ckpt",
         keep_last: int = 3,
         heartbeat_timeout: float = 30.0,
-        heartbeat_interval: float | None = None,
         max_restarts: int = 5,
         backoff_base: float = 0.05,
         backoff_cap: float = 2.0,
-        start_method: str | None = None,
         plan: TrainPlan | None = None,
     ) -> None:
         if epochs < 0:
@@ -326,27 +315,20 @@ class Supervisor:
                 f"need 0 <= backoff_base <= backoff_cap, "
                 f"got {backoff_base} / {backoff_cap}"
             )
-        if start_method is None:
-            start_method = "fork" if "fork" in mp.get_all_start_methods() else "spawn"
         self.heartbeat_timeout = float(heartbeat_timeout)
         self.max_restarts = int(max_restarts)
         self.backoff_base = float(backoff_base)
         self.backoff_cap = float(backoff_cap)
-        self._ctx = mp.get_context(start_method)
+        self._ctx = mp.get_context("fork" if hasattr(os, "fork") else "spawn")
         import repro.kernels
 
         self._spec = _Spec(
             factory=factory,
-            factory_kwargs=dict(factory_kwargs or {}),
             epochs=int(epochs),
             checkpoint_dir=str(checkpoint_dir),
             prefix=prefix,
             keep_last=int(keep_last),
-            heartbeat_interval=(
-                float(heartbeat_interval)
-                if heartbeat_interval is not None
-                else max(self.heartbeat_timeout / 4.0, 0.01)
-            ),
+            heartbeat_timeout=self.heartbeat_timeout,
             dtype_name=np.dtype(repro.kernels.get_default_dtype()).name,
             plan=plan if plan is not None else TrainPlan(),
         )
@@ -385,7 +367,7 @@ class Supervisor:
                     f"supervised training failed {restarts} times "
                     f"(max_restarts={self.max_restarts}): {summary}"
                 )
-            time.sleep(min(self.backoff_base * 2 ** (restarts - 1), self.backoff_cap))
+            time.sleep(backoff(restarts, self.backoff_base, self.backoff_cap))
             generation += 1
 
     # ------------------------------------------------------------------

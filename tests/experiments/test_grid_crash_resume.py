@@ -29,7 +29,7 @@ def worker_cmd(db: str, *extra: str) -> list[str]:
     return [
         sys.executable, "-m", "repro.experiments.grid", "run", db,
         "--grid", "crash", "--runners", "grid_test_runners",
-        "--stale-after", str(STALE_AFTER), "--heartbeat-interval", "0.1",
+        "--stale-after", str(STALE_AFTER),
         *extra,
     ]
 

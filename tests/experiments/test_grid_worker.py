@@ -50,6 +50,14 @@ def db(tmp_path):
     return path
 
 
+@pytest.mark.parametrize("stale_after_s", [0.0, -1.0])
+def test_worker_config_rejects_a_non_positive_stale_window(db, stale_after_s):
+    with pytest.raises(ConfigError, match="stale_after_s"):
+        run_worker(WorkerConfig(db_path=db, grid="g", stale_after_s=stale_after_s))
+    with GridStore(db) as store:
+        assert store.counts("g")["g"]["pending"] == 6  # nothing was claimed
+
+
 def test_single_worker_drains_grid(db):
     report = run_worker(WorkerConfig(db_path=db, grid="g", worker_id="w"))
     assert (report.done, report.errors, report.lost) == (6, 0, 0)

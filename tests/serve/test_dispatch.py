@@ -12,8 +12,10 @@ import time
 import numpy as np
 import pytest
 
+from repro.errors import ConfigError
 from repro.serve import Router
 from repro.serve.cluster import checksum
+from repro.serve.router import BACKOFF_CAP_S
 
 SERIES = np.zeros((16, 2))
 
@@ -56,6 +58,14 @@ def stub():
     router = Router(pool, attempt_timeout_s=1.0)
     yield pool, router
     router.close()
+
+
+@pytest.mark.parametrize("backoff_base_s", [-1.0, BACKOFF_CAP_S + 0.1])
+def test_router_rejects_a_backoff_base_outside_zero_to_the_cap(backoff_base_s):
+    pool = StubPool()
+    with pytest.raises(ConfigError, match="backoff_base_s"):
+        Router(pool, backoff_base_s=backoff_base_s)
+    assert pool.listener is None  # rejected before attaching to the pool
 
 
 def test_idle_workers_take_turns(stub):

@@ -304,6 +304,12 @@ class TestOptionChecks:
         with pytest.raises(ConfigError):
             WorkerPool(artifact, engine_kwargs=options)
 
+    @pytest.mark.parametrize("timeout_s", [0.0, -1.0])
+    def test_worker_pool_rejects_a_non_positive_heartbeat_timeout(self, timeout_s):
+        artifact = ModelArtifact.from_model(make_model())
+        with pytest.raises(ConfigError, match="heartbeat_timeout_s must be > 0"):
+            WorkerPool(artifact, heartbeat_timeout_s=timeout_s)
+
     @pytest.mark.parametrize("options", BAD_ENGINE_OPTIONS)
     def test_engine_rejects_before_building_the_model(self, options, monkeypatch):
         def build_model(self, rng=None):

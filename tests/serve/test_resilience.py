@@ -184,8 +184,7 @@ class TestHeartbeatLoss:
         # the supervisor must replace it.
         chaos = ChaosSchedule(drop_heartbeats={0: 0})
         with cluster(
-            artifact, n_workers=1, chaos=chaos,
-            heartbeat_interval_s=0.05, heartbeat_timeout_s=0.5,
+            artifact, n_workers=1, chaos=chaos, heartbeat_timeout_s=0.5,
         ) as (pool, router):
             assert wait_until(lambda: pool.stats.heartbeat_timeouts_total >= 1)
             assert wait_until(lambda: (0, 1, True, True) in pool.workers())
