@@ -19,6 +19,7 @@ hand-written regression tests:
 ``dtype-literal``           dtype literals only in ``kernels/policy.py``
 ``grad-discipline``         endpoints route through the serving scope
 ``backend-conformance``     kernel backends implement the interface
+``scatter-at``              no ``np.<ufunc>.at`` on the compute path
 ==========================  ===========================================
 
 Run the whole suite with ``python -m repro.analysis src`` (exits

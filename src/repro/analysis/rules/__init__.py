@@ -9,6 +9,7 @@ from repro.analysis.rules import (  # noqa: F401  (imports register the rules)
     grad_discipline,
     layering,
     mutable_state,
+    scatter_at,
     typed_errors,
 )
 
@@ -19,5 +20,6 @@ __all__ = [
     "grad_discipline",
     "layering",
     "mutable_state",
+    "scatter_at",
     "typed_errors",
 ]

@@ -366,10 +366,10 @@ def group_attention_exact_output(
     n_groups = int(assignments.max()) + 1
     counts = np.bincount(assignments, minlength=n_groups).astype(np.float64)  # repro: allow[dtype-literal] - f64 test oracle
     reps = np.zeros((n_groups, d_k))
-    np.add.at(reps, assignments, k)
+    np.add.at(reps, assignments, k)  # repro: allow[scatter-at] - test oracle
     reps /= np.maximum(counts, 1.0)[:, None]
     v_agg = np.zeros((n_groups, v.shape[-1]))
-    np.add.at(v_agg, assignments, v)
+    np.add.at(v_agg, assignments, v)  # repro: allow[scatter-at] - test oracle
 
     scores = q @ reps.T / math.sqrt(d_k)
     exp_scores = np.exp(scores - scores.max(axis=-1, keepdims=True))

@@ -27,12 +27,8 @@ def conv1d_output_length(length: int, kernel_size: int, stride: int, padding: in
     return (length + 2 * padding - kernel_size) // stride + 1
 
 
-def _im2col(x: np.ndarray, kernel_size: int, stride: int, padding: int) -> tuple[np.ndarray, np.ndarray]:
-    """Unfold ``(B, C, L)`` into columns ``(B, C, K, L_out)``.
-
-    Returns the column tensor and the gather index ``(K, L_out)`` into the
-    padded input, which the caller reuses for the col2im scatter.
-    """
+def _im2col(x: np.ndarray, kernel_size: int, stride: int, padding: int) -> np.ndarray:
+    """Unfold ``(B, C, L)`` into columns ``(B, C, K, L_out)``."""
     batch, channels, length = x.shape
     out_length = conv1d_output_length(length, kernel_size, stride, padding)
     if out_length <= 0:
@@ -43,19 +39,23 @@ def _im2col(x: np.ndarray, kernel_size: int, stride: int, padding: int) -> tuple
     if padding > 0:
         x = np.pad(x, ((0, 0), (0, 0), (padding, padding)))
     index = stride * np.arange(out_length)[None, :] + np.arange(kernel_size)[:, None]
-    return x[:, :, index], index
+    return x[:, :, index]
 
 
-def _col2im(
-    cols: np.ndarray,
-    index: np.ndarray,
-    length: int,
-    padding: int,
-) -> np.ndarray:
-    """Fold columns ``(B, C, K, L_out)`` back to ``(B, C, L)`` by scatter-add."""
-    batch, channels = cols.shape[:2]
+def _col2im(cols: np.ndarray, stride: int, length: int, padding: int) -> np.ndarray:
+    """Fold columns ``(B, C, K, L_out)`` back to ``(B, C, L)``, summing overlaps.
+
+    Tap ``k`` of output column ``t`` lands on padded position
+    ``t * stride + k``; within one tap those positions are distinct, so
+    each tap is one strided slice-add.  Taps are added in increasing
+    ``k``, the order ``np.add.at`` visits them, so the result is bitwise
+    the scatter-add's (sign of zero included) at a fraction of its cost.
+    """
+    batch, channels, kernel_size, out_length = cols.shape
     padded = np.zeros((batch, channels, length + 2 * padding), dtype=cols.dtype)
-    np.add.at(padded, (slice(None), slice(None), index), cols)
+    span = stride * (out_length - 1) + 1
+    for k in range(kernel_size):
+        padded[:, :, k : k + span : stride] += cols[:, :, k]
     if padding > 0:
         return padded[:, :, padding:-padding]
     return padded
@@ -86,7 +86,7 @@ def conv1d(x, weight, bias=None, stride: int = 1, padding: int = 0) -> Tensor:
     out_channels, in_channels, kernel_size = weight.shape
     batch, _, length = x.shape
 
-    cols, index = _im2col(x.data, kernel_size, stride, padding)
+    cols = _im2col(x.data, kernel_size, stride, padding)
     out_length = cols.shape[-1]
     # (B, C_in, K, L_out) x (C_out, C_in, K) -> (B, C_out, L_out)
     cols_flat = cols.reshape(batch, in_channels * kernel_size, out_length)
@@ -101,9 +101,11 @@ def conv1d(x, weight, bias=None, stride: int = 1, padding: int = 0) -> Tensor:
         # grad: (B, C_out, L_out)
         grad_weight = np.einsum("bol,bkl->ok", grad, cols_flat, optimize=True)
         grad_weight = grad_weight.reshape(out_channels, in_channels, kernel_size)
-        grad_cols = np.einsum("ok,bol->bkl", weight_flat, grad, optimize=True)
-        grad_cols = grad_cols.reshape(batch, in_channels, kernel_size, out_length)
-        grad_x = _col2im(grad_cols, index, length, padding)
+        grad_x = None
+        if x.requires_grad:  # the front end's input is data: skip its gradient
+            grad_cols = np.einsum("ok,bol->bkl", weight_flat, grad, optimize=True)
+            grad_cols = grad_cols.reshape(batch, in_channels, kernel_size, out_length)
+            grad_x = _col2im(grad_cols, stride, length, padding)
         if bias_t is None:
             return (grad_x, grad_weight)
         grad_bias = grad.sum(axis=(0, 2))
@@ -151,7 +153,7 @@ def conv_transpose1d(x, weight, bias=None, stride: int = 1, padding: int = 0) ->
     index = stride * np.arange(length)[None, :] + np.arange(kernel_size)[:, None]
     # cols: (B, C_out, K, L) = sum_c_in x[b, c_in, t] * w[c_in, c_out, k]
     cols = np.einsum("bit,iok->bokt", x.data, weight.data, optimize=True)
-    out_data = _col2im(cols, index, out_length, padding)
+    out_data = _col2im(cols, stride, out_length, padding)
     if bias_t is not None:
         out_data = out_data + bias_t.data[None, :, None]
 

@@ -11,7 +11,6 @@ so user code can write ``(q @ k.T).softmax(-1)`` naturally.
 
 from __future__ import annotations
 
-import math
 from typing import Sequence
 
 import numpy as np
@@ -30,9 +29,6 @@ __all__ = [
     "softmax", "log_softmax",
     "embedding", "batched_segment_sum", "batched_gather",
 ]
-
-_SQRT_2 = math.sqrt(2.0)
-_SQRT_2_PI = math.sqrt(2.0 * math.pi)
 
 
 # ----------------------------------------------------------------------
@@ -228,29 +224,17 @@ def sigmoid(a) -> Tensor:
 
 
 def relu(a) -> Tensor:
-    """Elementwise rectified linear unit."""
-    a = as_tensor(a)
-    mask = a.data > 0
-    out_data = np.where(mask, a.data, 0.0)
+    """Elementwise rectified linear unit (kernel-layer node)."""
+    from repro.kernels import functional as kernels
 
-    def backward(grad):
-        return (grad * mask,)
-
-    return Tensor._make(out_data, (a,), backward)
+    return kernels.relu(a)
 
 
 def gelu(a) -> Tensor:
-    """Exact (erf-based) Gaussian error linear unit."""
-    a = as_tensor(a)
-    x = a.data
-    cdf = 0.5 * (1.0 + _special.erf(x / _SQRT_2))
-    out_data = x * cdf
+    """Exact (erf-based) Gaussian error linear unit (kernel-layer node)."""
+    from repro.kernels import functional as kernels
 
-    def backward(grad):
-        pdf = np.exp(-0.5 * x * x) / _SQRT_2_PI
-        return (grad * (cdf + x * pdf),)
-
-    return Tensor._make(out_data, (a,), backward)
+    return kernels.gelu(a)
 
 
 def abs_(a) -> Tensor:
@@ -459,8 +443,29 @@ def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     return Tensor._make(out_data, tuple(tensors), backward)
 
 
+def _is_basic_index(index) -> bool:
+    """True when ``index`` is only ints, slices, ``None`` and ``Ellipsis``.
+
+    Such an index selects a view in which no element appears twice.
+    (``bool`` is an ``int`` subclass but indexes as a mask, so it is out.)
+    """
+    parts = index if isinstance(index, tuple) else (index,)
+    return all(
+        part is None
+        or part is Ellipsis
+        or isinstance(part, slice)
+        or (isinstance(part, (int, np.integer)) and not isinstance(part, bool))
+        for part in parts
+    )
+
+
 def getitem(a, index) -> Tensor:
-    """NumPy-style indexing with gradient scatter-add on backward."""
+    """NumPy-style indexing; the backward adds the gradient back in place.
+
+    A basic index selects each element at most once, so its backward is a
+    slice-add into a zero buffer.  Integer-array and mask indices go
+    through ``np.add.at``, which accumulates repeated positions.
+    """
     a = as_tensor(a)
     out_data = a.data[index]
     original_shape = a.shape
@@ -468,7 +473,11 @@ def getitem(a, index) -> Tensor:
 
     def backward(grad):
         buffer = np.zeros(original_shape, dtype=dtype)
-        np.add.at(buffer, index, grad)
+        if _is_basic_index(index):
+            buffer[index] += grad
+        else:
+            # repro: allow[scatter-at] - integer-array indices can repeat
+            np.add.at(buffer, index, grad)
         return (buffer,)
 
     return Tensor._make(out_data, (a,), backward)
@@ -573,6 +582,7 @@ def embedding(weight, indices) -> Tensor:
 
     def backward(grad):
         buffer = np.zeros(vocab_shape, dtype=dtype)
+        # repro: allow[scatter-at] - token indices repeat
         np.add.at(buffer, idx.reshape(-1), grad.reshape(-1, vocab_shape[-1]))
         return (buffer,)
 

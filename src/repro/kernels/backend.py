@@ -291,6 +291,7 @@ class NumpyReferenceBackend(KernelBackend):
         ids = segment_ids.reshape(batch, n)
         out = np.zeros((batch * num_segments, d), dtype=values.dtype)
         offsets = np.arange(batch, dtype=np.int64)[:, None] * num_segments
+        # repro: allow[scatter-at] - the reference backend is the semantics oracle
         np.add.at(out, (ids + offsets).reshape(-1), flat.reshape(-1, d))
         return out.reshape(*batch_shape, num_segments, d)
 
@@ -311,6 +312,7 @@ class NumpyReferenceBackend(KernelBackend):
         ids = segment_ids.reshape(batch, n)
         offsets = np.arange(batch, dtype=np.int64)[:, None] * num_segments
         counts = np.zeros(batch * num_segments, dtype=np.int64)
+        # repro: allow[scatter-at] - the reference backend is the semantics oracle
         np.add.at(counts, (ids + offsets).reshape(-1), 1)
         return counts.reshape(*batch_shape, num_segments)
 
@@ -335,6 +337,7 @@ class NumpyReferenceBackend(KernelBackend):
         ids = segment_ids.reshape(batch, n)
         offsets = np.arange(batch, dtype=np.int64)[:, None] * num_segments
         out = np.full(batch * num_segments, initial, dtype=values.dtype)
+        # repro: allow[scatter-at] - the reference backend is the semantics oracle
         np.maximum.at(out, (ids + offsets).reshape(-1), values.reshape(-1))
         return out.reshape(*batch_shape, num_segments)
 

@@ -266,8 +266,18 @@ def gelu(a) -> Tensor:
         return Tensor(out_data)
 
     def backward(grad):
-        pdf = np.exp(-0.5 * x * x) / _SQRT_2_PI
-        return (grad * (cdf + x * pdf),)
+        # grad * (cdf + x * pdf) with pdf = exp(-x*x/2) / sqrt(2*pi): the
+        # same operations in the same order, in one buffer instead of seven.
+        out = np.multiply(x, -0.5)
+        out *= x
+        np.exp(out, out=out)
+        out /= _SQRT_2_PI
+        out *= x
+        out += cdf
+        if out.dtype != grad.dtype:  # mixed precision: promote as grad * out does
+            return (grad * out,)
+        out *= grad
+        return (out,)
 
     return Tensor._make(out_data, (a,), backward)
 

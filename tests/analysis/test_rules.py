@@ -58,7 +58,7 @@ def test_good_tree_is_clean(case):
 
 
 def test_every_rule_has_a_firing_and_a_silent_fixture():
-    """The seven invariants each have both fixture directions on disk."""
+    """The eight invariants each have both fixture directions on disk."""
     rules_with_bad = set()
     for case in CASES:
         for _, _, rule_id in expected_markers(FIXTURES / case / "bad"):
@@ -71,6 +71,7 @@ def test_every_rule_has_a_firing_and_a_silent_fixture():
         "grad-discipline",
         "backend-conformance",
         "durable-io",
+        "scatter-at",
     }
     for case in CASES:
         assert (FIXTURES / case / "good").is_dir(), f"{case} has no good tree"

@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
+import repro.autograd.conv as conv_module
 from repro.autograd import Tensor, gradcheck
-from repro.autograd.conv import conv1d, conv1d_output_length, conv_transpose1d
+from repro.autograd.conv import _col2im, conv1d, conv1d_output_length, conv_transpose1d
 from repro.errors import ShapeError
 
 
@@ -66,6 +68,88 @@ class TestConv1dGradients:
         assert gradcheck(
             lambda x, w, b: conv1d(x, w, b, stride=stride, padding=padding), [x, w, b]
         )
+
+    @pytest.mark.parametrize("stride,padding", [(1, 0), (2, 1), (3, 2)])
+    def test_constant_input_gets_no_gradient_and_no_fold(self, rng, monkeypatch, stride, padding):
+        x = rng.standard_normal((2, 2, 9))
+        w = rng.standard_normal((3, 2, 3)) * 0.5
+        b = rng.standard_normal(3)
+        upstream = rng.standard_normal((2, 3, conv1d_output_length(9, 3, stride, padding)))
+
+        def run(x_requires_grad):
+            xt = Tensor(x, requires_grad=x_requires_grad)
+            wt = Tensor(w, requires_grad=True)
+            bt = Tensor(b, requires_grad=True)
+            conv1d(xt, wt, bt, stride=stride, padding=padding).backward(upstream)
+            return xt, wt, bt
+
+        # A data input (requires_grad=False) skips the input gradient and
+        # its fold; the weight and bias gradients stay bitwise the same.
+        _, w_ref, b_ref = run(True)
+
+        def no_fold(*args, **kwargs):
+            raise AssertionError("_col2im ran for a constant input")
+
+        monkeypatch.setattr(conv_module, "_col2im", no_fold)
+        x_const, w_const, b_const = run(False)
+        assert x_const.grad is None
+        assert np.array_equal(w_const.grad, w_ref.grad)
+        assert np.array_equal(b_const.grad, b_ref.grad)
+
+
+def add_at_col2im(cols, stride, length, padding):
+    """The scatter-add fold ``_col2im`` replaced, kept as its oracle."""
+    batch, channels, kernel_size, out_length = cols.shape
+    padded = np.zeros((batch, channels, length + 2 * padding), dtype=cols.dtype)
+    index = stride * np.arange(out_length)[None, :] + np.arange(kernel_size)[:, None]
+    np.add.at(padded, (slice(None), slice(None), index), cols)
+    return padded[:, :, padding : padded.shape[-1] - padding]
+
+
+class TestCol2im:
+    """The strided-add fold equals the ``np.add.at`` scatter bit for bit."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        batch=st.integers(1, 4),
+        channels=st.integers(1, 4),
+        kernel_size=st.integers(1, 7),
+        out_length=st.integers(1, 40),
+        stride=st.integers(1, 4),
+        padding=st.integers(0, 3),
+        dtype=st.sampled_from([np.float32, np.float64]),
+        caller=st.sampled_from(["conv1d_backward", "conv_transpose1d_forward"]),
+        remainder=st.integers(0, 3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_add_at_bitwise(
+        self, batch, channels, kernel_size, out_length, stride, padding, dtype, caller,
+        remainder, seed,
+    ):
+        if caller == "conv1d_backward":
+            # The conv input length whose output has ``out_length`` columns;
+            # the floor convention leaves up to stride-1 padded positions
+            # past the last tap.
+            length = stride * (out_length - 1) + kernel_size - 2 * padding + remainder % stride
+            assume(length >= 1)
+            assert conv1d_output_length(length, kernel_size, stride, padding) == out_length
+        else:
+            length = (out_length - 1) * stride - 2 * padding + kernel_size
+            assume(length >= 1)
+        gen = np.random.default_rng(seed)
+        shape = (batch, channels, kernel_size, out_length)
+        # Mixed magnitudes make the summation order visible in the low
+        # bits; signed zeros check the sign of zero.
+        cols = gen.standard_normal(shape) * 10.0 ** gen.integers(-4, 5, shape)
+        zeros = gen.random(shape) < 0.15
+        cols[zeros] = np.where(gen.random(int(zeros.sum())) < 0.5, -0.0, 0.0)
+        cols = cols.astype(dtype)
+
+        actual = _col2im(cols, stride, length, padding)
+        expected = add_at_col2im(cols, stride, length, padding)
+        assert actual.dtype == expected.dtype and actual.shape == expected.shape
+        assert np.array_equal(actual, expected)
+        assert np.array_equal(np.signbit(actual), np.signbit(expected))
 
 
 class TestConvTranspose1d:

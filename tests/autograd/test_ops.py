@@ -1,7 +1,10 @@
 """Gradient checks and semantics for every pointwise/arithmetic op."""
 
+import math
+
 import numpy as np
 import pytest
+from scipy import special
 
 from repro.autograd import Tensor, gradcheck
 from repro.autograd import ops
@@ -79,6 +82,30 @@ class TestPointwiseGradients:
 
     def test_gelu(self, rng):
         assert gradcheck(ops.gelu, [t(rng.standard_normal(6))])
+
+    @pytest.mark.parametrize(
+        "x_dtype,scale_dtype",
+        [(np.float32, np.float32), (np.float64, np.float64), (np.float32, np.float64)],
+    )
+    def test_gelu_backward_bitwise_matches_unfused_expression(self, rng, x_dtype, scale_dtype):
+        """The one-buffer backward equals ``grad * (cdf + x * pdf)`` exactly.
+
+        The mixed row sends a float64 gradient into a float32 GELU, which
+        must promote as the expression does.
+        """
+        x = (rng.standard_normal(4099) * 3.0).astype(x_dtype)
+        x[:3] = [0.0, -0.0, 9.0]
+        scale = rng.standard_normal(4099).astype(scale_dtype)
+        xt = Tensor(x, requires_grad=True)
+        out = ops.gelu(xt) * Tensor(scale)
+        out.backward(np.ones(out.shape))
+        grad = np.ones(out.shape, dtype=out.dtype) * scale
+        cdf = 0.5 * (1.0 + special.erf(x / math.sqrt(2.0)))
+        pdf = np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
+        expected = grad * (cdf + x * pdf)
+        assert xt.grad.dtype == expected.dtype
+        assert np.array_equal(xt.grad, expected)
+        assert np.array_equal(np.signbit(xt.grad), np.signbit(expected))
 
     def test_abs_away_from_zero(self, rng):
         x = rng.standard_normal(8)

@@ -64,7 +64,34 @@ class TestConcatStack:
         assert gradcheck(lambda x, y: ops.stack([x, y], axis=1), [a, b])
 
 
+#: Indices for the backward-vs-``np.add.at`` rows, on a (4, 5, 3) input:
+#: basic ones (slice-add backward) and advanced ones (scatter backward).
+INDEX_CASES = {
+    "ellipsis_slice": (Ellipsis, slice(1, None)),
+    "newaxis_reverse_step": (None, slice(None, None, -2)),
+    "int_slice_int": (1, slice(None), 0),
+    "bool_mask": np.arange(60).reshape(4, 5, 3) % 3 == 1,
+    "list_with_repeats": [0, 0, 2],
+    "slice_and_repeating_array": (slice(1, 3), np.array([0, 2, 2, 4, 0])),
+}
+
+
 class TestIndexing:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("case", sorted(INDEX_CASES))
+    def test_backward_matches_add_at_bitwise(self, rng, case, dtype):
+        index = INDEX_CASES[case]
+        x = Tensor(rng.standard_normal((4, 5, 3)).astype(dtype), requires_grad=True)
+        out = x[index]
+        upstream = rng.standard_normal(out.shape).astype(dtype)
+        upstream.reshape(-1)[::4] = -0.0  # 0 + -0 is +0: the sign shows an add
+        out.backward(upstream)
+        expected = np.zeros(x.shape, dtype=dtype)
+        np.add.at(expected, index, upstream)
+        assert x.grad.dtype == expected.dtype
+        assert np.array_equal(x.grad, expected)
+        assert np.array_equal(np.signbit(x.grad), np.signbit(expected))
+
     def test_basic_slice(self, rng):
         x = t(rng.standard_normal((4, 5)))
         assert gradcheck(lambda v: v[1:3, ::2], [x])
