@@ -57,7 +57,6 @@ from repro.errors import (
     ReproError,
     WorkerCrashError,
 )
-from repro.kernels.threads import threads_scope
 from repro.serve import ChaosSchedule, InferenceEngine, ModelArtifact, Router, WorkerPool
 
 TARGET_AVAILABILITY = 0.99
@@ -104,10 +103,7 @@ def run_load(artifact, requests, *, n_workers, rate_per_s, deadline_s,
     )
     # Serial ground truth for every request, computed up front.
     reference_engine = InferenceEngine(artifact)
-    with threads_scope(1):
-        reference = [
-            np.asarray(reference_engine.classify(series)) for series in requests
-        ]
+    reference = [np.asarray(reference_engine.classify(series)) for series in requests]
 
     outcomes: list[dict] = [None] * len(requests)
     waiters: list[threading.Thread] = []

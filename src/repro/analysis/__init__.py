@@ -20,6 +20,8 @@ hand-written regression tests:
 ``grad-discipline``         endpoints route through the serving scope
 ``backend-conformance``     kernel backends implement the interface
 ``scatter-at``              no ``np.<ufunc>.at`` on the compute path
+``durable-io``              bytes persist only through ``serialize``
+``env-knob``                no environment-variable options
 ==========================  ===========================================
 
 Run the whole suite with ``python -m repro.analysis src`` (exits

@@ -6,6 +6,7 @@ from repro.analysis.rules import (  # noqa: F401  (imports register the rules)
     conformance,
     dtype_literals,
     durable_io,
+    env_knob,
     grad_discipline,
     layering,
     mutable_state,
@@ -17,6 +18,7 @@ __all__ = [
     "conformance",
     "dtype_literals",
     "durable_io",
+    "env_knob",
     "grad_discipline",
     "layering",
     "mutable_state",

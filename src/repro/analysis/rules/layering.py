@@ -24,8 +24,8 @@ rank  module prefixes
 ====  ==============================================================
 0     ``errors``, ``rng``, ``serialize``, ``simgpu``, ``analysis``,
       ``supervision``
-1     ``kernels.policy|threads|backend|fused|parallel`` (backends),
-      ``faultfs`` (the adversarial IOProvider over ``serialize``)
+1     ``kernels.policy|backend|fused`` (backends), ``faultfs`` (the
+      adversarial IOProvider over ``serialize``)
 2     ``autograd.tensor`` (imports only the dtype policy)
 3     ``kernels`` (functional wrappers), ``autograd`` (ops, conv, ...)
 4     ``cluster``, ``data``, ``nn``
@@ -63,10 +63,8 @@ LAYER_RANKS = {
     "repro.supervision": 0,
     "repro.faultfs": 1,
     "repro.kernels.policy": 1,
-    "repro.kernels.threads": 1,
     "repro.kernels.backend": 1,
     "repro.kernels.fused": 1,
-    "repro.kernels.parallel": 1,
     "repro.autograd.tensor": 2,
     "repro.kernels": 3,
     "repro.autograd": 3,
@@ -95,10 +93,8 @@ FORBIDDEN_EDGES: tuple[tuple[str, str], ...] = (
     ("repro.serve", "repro.train"),
     ("repro.serve", "repro.optim"),
     ("repro.kernels.policy", "repro.autograd"),
-    ("repro.kernels.threads", "repro.autograd"),
     ("repro.kernels.backend", "repro.autograd"),
     ("repro.kernels.fused", "repro.autograd"),
-    ("repro.kernels.parallel", "repro.autograd"),
 )
 
 #: The facade: re-exports everything by design.

@@ -1,12 +1,11 @@
 """``mutable-state`` — thread-safety of shared module/class state.
 
 The kernel layer, the serving tier, and autograd all execute on many
-threads at once (the parallel backend's pool, MicroBatcher flushes from
-caller threads, concurrent engine endpoints).  A module-level or
-class-level **mutable container** is shared by every one of those
-threads; PR 5 paid for this twice (the fused scratch-buffer pool and the
-``EngineStats`` counters were both silent races) before the pattern was
-named.
+threads at once (MicroBatcher flushes from caller threads, concurrent
+engine endpoints).  A module-level or class-level **mutable container**
+is shared by every one of those threads; the fused scratch-buffer pool
+and the ``EngineStats`` counters were both silent races before the
+pattern was named.
 
 This rule flags every module-level and class-body assignment of a
 mutable container (`[]`, ``{}``, ``set()``, ``dict()``, comprehensions,

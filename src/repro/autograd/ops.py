@@ -351,7 +351,8 @@ def _extremum(a, axis, keepdims, reducer):
             extreme = np.expand_dims(extreme, axis=axes)
         mask = a.data == extreme
         counts = mask.sum(axis=axes, keepdims=True) if axes is not None else mask.sum()
-        return (g * mask / counts,)
+        # Tie counts are int64; cast them so a float32 gradient stays float32.
+        return (g * mask / counts.astype(g.dtype),)
 
     return Tensor._make(out_data, (a,), backward)
 

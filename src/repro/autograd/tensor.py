@@ -110,8 +110,8 @@ class Tensor:
     ----------
     data:
         Anything convertible by ``np.asarray``.  Explicitly-typed floating
-        NumPy arrays keep their dtype; Python scalars, lists and integer
-        arrays adopt the policy compute dtype (see
+        NumPy arrays and scalars keep their dtype; Python scalars, lists
+        and integer arrays adopt the policy compute dtype (see
         :mod:`repro.kernels.policy`).
     requires_grad:
         When true, :meth:`backward` accumulates a gradient into
@@ -129,13 +129,14 @@ class Tensor:
     ) -> None:
         if isinstance(data, Tensor):
             data = data.data
-        was_ndarray = isinstance(data, np.ndarray)
+        was_numpy = isinstance(data, (np.ndarray, np.generic))
         array = np.asarray(data)
         if array.dtype.kind in "iub":
             array = array.astype(get_default_dtype())
-        elif array.dtype.kind == "f" and not was_ndarray and array.dtype != get_default_dtype():
-            # Python floats / lists adopt the policy dtype; explicit arrays
-            # keep theirs (gradcheck relies on float64 staying float64).
+        elif array.dtype.kind == "f" and not was_numpy and array.dtype != get_default_dtype():
+            # Python floats / lists adopt the policy dtype; NumPy arrays and
+            # scalars keep theirs (gradcheck relies on float64 staying
+            # float64, and a full reduction returns a NumPy scalar).
             array = array.astype(get_default_dtype())
         self.data: np.ndarray = array
         self.grad: np.ndarray | None = None

@@ -142,7 +142,7 @@ def run_table4_cell(params: dict) -> dict:
 
 def _bench_dir() -> Path:
     """The benchmarks/ directory holding the bench_*.py sweep scripts."""
-    override = os.environ.get("RITA_BENCH_DIR")
+    override = os.environ.get("RITA_BENCH_DIR")  # repro: allow[env-knob] - a path, not a behaviour
     if override:
         return Path(override)
     # src/repro/experiments/grid/runners.py -> repo root / benchmarks

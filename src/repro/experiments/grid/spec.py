@@ -9,8 +9,7 @@ existing table only appends cells that are genuinely new.
 
 ``SPEC_INDEX`` holds the built-in grids: the result families the
 benchmark suite regenerates (fig4 varying-length, table4 scheduler),
-the ROADMAP sweeps this subsystem exists for (serving rate sweep,
-thread-count sweep via the ``bench_script`` wrapper), and a
+the serving rate sweep (via the ``bench_script`` wrapper), and a
 deterministic 2-cell ``smoke`` grid exercised end-to-end by CI.
 """
 
@@ -175,18 +174,6 @@ SPEC_INDEX: dict[str, GridSpec] = {
             description=(
                 "Serving benchmark via the bench_script wrapper (smoke "
                 "geometry); swap smoke=False for the full sweep"
-            ),
-        ),
-        GridSpec(
-            name="thread_sweep",
-            runner="bench_script",
-            axes={"script": ("bench_parallel",)},
-            base={"smoke": True},
-            description=(
-                "Parallel-backend kernel dispatch via the bench_script "
-                "wrapper: group-attention fwd+bwd at 1/2/4 threads plus "
-                "the n=256 serial-fallback cell; thread scaling needs "
-                ">= 4 physical cores"
             ),
         ),
     )

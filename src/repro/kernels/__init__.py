@@ -7,15 +7,9 @@ strategy.  Four pieces:
   (``float32`` by default, ``float64`` for gradient checking);
 * :mod:`repro.kernels.backend` — the backend registry plus the NumPy
   *reference* backend (semantics oracle);
-* :mod:`repro.kernels.fused` — the optimized *fused* backend (default):
-  in-place softmax/layer-norm, single-GEMM affine, sort+``reduceat``
-  segment sum with scratch-buffer reuse;
-* :mod:`repro.kernels.threads` — the process-global thread policy
-  (``RITA_NUM_THREADS``, :func:`threads_scope`, the small-input serial
-  threshold);
-* :mod:`repro.kernels.parallel` — the *parallel* backend: batch-shards
-  the fused kernels across a shared thread pool (multicore execution
-  with zero call-site changes);
+* :mod:`repro.kernels.fused` — the optimized *fused* backend, the one
+  the stack executes on: in-place softmax/layer-norm, single-GEMM
+  affine, sort+``reduceat`` segment sum with scratch-buffer reuse;
 * :mod:`repro.kernels.functional` — autograd nodes over the active
   backend with hand-written backwards and no-grad fast paths.
 
@@ -26,8 +20,6 @@ Typical knobs::
     K.set_default_dtype("float64")      # gradcheck-sharp numerics
     with K.use_backend("reference"):    # run on the oracle kernels
         ...
-    with K.use_backend("parallel"), K.threads_scope(4):
-        ...                             # shard kernels across 4 workers
 
 The functional ops are re-exported lazily (PEP 562): they depend on
 :mod:`repro.autograd.tensor`, which itself imports the dtype policy from
@@ -43,7 +35,6 @@ from repro.kernels.policy import (
     set_default_dtype,
 )
 from repro.kernels.backend import (
-    BACKEND_ENV_VAR,
     KernelBackend,
     NumpyReferenceBackend,
     available_backends,
@@ -53,15 +44,6 @@ from repro.kernels.backend import (
     use_backend,
 )
 from repro.kernels.fused import FusedNumpyBackend
-from repro.kernels.threads import (
-    THREADS_ENV_VAR,
-    get_num_threads,
-    get_parallel_threshold,
-    set_num_threads,
-    set_parallel_threshold,
-    threads_scope,
-)
-from repro.kernels.parallel import ParallelNumpyBackend
 
 _FUNCTIONAL_EXPORTS = (
     "cross_entropy",
@@ -84,22 +66,14 @@ _FUNCTIONAL_EXPORTS = (
 
 __all__ = [
     "DTYPE_ENV_VAR",
-    "BACKEND_ENV_VAR",
-    "THREADS_ENV_VAR",
     "asarray",
     "dtype_scope",
     "get_default_dtype",
     "resolve_dtype",
     "set_default_dtype",
-    "get_num_threads",
-    "set_num_threads",
-    "get_parallel_threshold",
-    "set_parallel_threshold",
-    "threads_scope",
     "KernelBackend",
     "NumpyReferenceBackend",
     "FusedNumpyBackend",
-    "ParallelNumpyBackend",
     "available_backends",
     "get_backend",
     "register_backend",

@@ -19,22 +19,18 @@ set of numerical kernels the whole compute stack is built from:
 :mod:`repro.kernels.functional` wraps these into autograd nodes; attention
 mechanisms and ``nn`` modules call the functional layer, never a backend
 directly.  Swapping the active backend therefore changes the execution
-strategy of the entire model without touching model code — the seam where
-future backends (sharding, caching, alternative array libraries) plug in.
+strategy of the entire model without touching model code.
 
-Three backends ship today: this module's straightforward NumPy
-*reference* backend (the semantics oracle the tests gradcheck against),
-the optimized *fused* backend in :mod:`repro.kernels.fused` (default),
-and the opt-in *parallel* backend in :mod:`repro.kernels.parallel`, which
-shards the fused kernels' batch axis across ``RITA_NUM_THREADS`` threads.
-Select with :func:`set_backend` / :func:`use_backend` or the
-``RITA_KERNEL_BACKEND`` environment variable.
+Two backends ship: this module's straightforward NumPy *reference*
+backend (the semantics oracle the tests gradcheck against) and the
+optimized *fused* backend in :mod:`repro.kernels.fused`, which every
+process starts on.  :func:`use_backend` switches to the oracle for a
+block (the parity tests do).
 """
 
 from __future__ import annotations
 
 import contextlib
-import os
 import threading
 
 import numpy as np
@@ -49,11 +45,7 @@ __all__ = [
     "get_backend",
     "set_backend",
     "use_backend",
-    "BACKEND_ENV_VAR",
 ]
-
-#: Environment variable consulted on first use for the initial backend.
-BACKEND_ENV_VAR = "RITA_KERNEL_BACKEND"
 
 
 def _leading_axes(array: np.ndarray) -> tuple[int, ...]:
@@ -446,17 +438,12 @@ def _ensure_initialized() -> None:
     with _REGISTRY_LOCK:
         if _ACTIVE is not None:
             return
-        # Imports register the fused and parallel backends; deferred to
-        # avoid an import cycle.
-        from repro.kernels import fused, parallel  # noqa: F401
+        # The import registers the fused backend; deferred to avoid an
+        # import cycle.
+        from repro.kernels import fused
 
         register_backend(NumpyReferenceBackend())
-        initial = os.environ.get(BACKEND_ENV_VAR, fused.FusedNumpyBackend.name)
-        if initial not in _BACKENDS:
-            raise ConfigError(
-                f"unknown kernel backend {initial!r}; available: {sorted(_BACKENDS)}"
-            )
-        _ACTIVE = _BACKENDS[initial]
+        _ACTIVE = _BACKENDS[fused.FusedNumpyBackend.name]
 
 
 def get_backend(name: str | None = None) -> KernelBackend:

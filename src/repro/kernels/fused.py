@@ -1,4 +1,4 @@
-"""Optimized fused NumPy backend — the default execution backend.
+"""Optimized fused NumPy backend — the execution backend.
 
 Same semantics as :class:`~repro.kernels.backend.NumpyReferenceBackend`
 (enforced by the cross-backend parity tests), but tuned for wall-clock:
@@ -18,12 +18,12 @@ Same semantics as :class:`~repro.kernels.backend.NumpyReferenceBackend`
   scatter/gather pair.  Only buffers that never escape a kernel call are
   pooled; every returned array is freshly owned by the caller.
 
-The scratch pool is **per thread** (``threading.local``): the parallel
-backend and the serve layer call these kernels concurrently, and a
-process-global pool would hand two threads the same staging buffer —
-silent data corruption.  Each thread warms its own pool instead; the
-cost is one pool per long-lived worker thread, which the shared kernel
-executor keeps bounded at the configured worker count.
+The scratch pool is **per thread** (``threading.local``): serving
+endpoints run on their callers' threads (concurrent requests, the
+micro-batcher's flushes), and a process-global pool would hand two
+threads the same staging buffer — silent data corruption.  Each thread
+warms its own pool instead; the cost is one pool per long-lived caller
+thread.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ _MAX_POOLED = 64
 
 
 class FusedNumpyBackend(NumpyReferenceBackend):
-    """Fused kernels with buffer reuse; the default backend."""
+    """Fused kernels with buffer reuse; the backend every process starts on."""
 
     name = "fused"
 
@@ -83,6 +83,25 @@ class FusedNumpyBackend(NumpyReferenceBackend):
             offsets = np.arange(batch, dtype=np.int64)[:, None] * num_segments
             pool[key] = offsets
         return offsets
+
+    def _runs(
+        self, segment_ids: np.ndarray, batch: int, num_segments: int
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Stable-sort the flattened ids into one run per non-empty segment.
+
+        Returns ``(order, run_starts, run_segments)``: ``order`` gathers
+        the rows segment by segment (stable, so each run keeps its rows in
+        input order), ``run_starts`` marks where each run begins in that
+        order, and ``run_segments`` is each run's flat output row.
+        """
+        ids = segment_ids.reshape(batch, segment_ids.shape[-1])
+        flat_index = (ids + self._offsets(batch, num_segments)).reshape(-1)
+        order = np.argsort(flat_index, kind="stable")
+        sorted_ids = flat_index[order]
+        run_starts = np.flatnonzero(
+            np.concatenate(([True], sorted_ids[1:] != sorted_ids[:-1]))
+        )
+        return order, run_starts, sorted_ids[run_starts]
 
     # -- softmax family ---------------------------------------------------
     def softmax(self, x: np.ndarray, axis: int) -> np.ndarray:
@@ -153,18 +172,11 @@ class FusedNumpyBackend(NumpyReferenceBackend):
     ) -> np.ndarray:
         flat, batch_shape, batch = _flatten_batch(values)
         n, d = flat.shape[-2:]
-        ids = segment_ids.reshape(batch, n)
-        flat_index = (ids + self._offsets(batch, num_segments)).reshape(-1)
-        order = np.argsort(flat_index, kind="stable")
-        sorted_ids = flat_index[order]
+        order, run_starts, run_segments = self._runs(segment_ids, batch, num_segments)
         staged = self._scratch("segment_sum", (batch * n, d), values.dtype)
         np.take(flat.reshape(-1, d), order, axis=0, out=staged)
-        run_starts = np.flatnonzero(
-            np.concatenate(([True], sorted_ids[1:] != sorted_ids[:-1]))
-        )
-        sums = np.add.reduceat(staged, run_starts, axis=0)
         out = np.zeros((batch * num_segments, d), dtype=values.dtype)
-        out[sorted_ids[run_starts]] = sums
+        out[run_segments] = np.add.reduceat(staged, run_starts, axis=0)
         return out.reshape(*batch_shape, num_segments, d)
 
     def segment_gather(self, values: np.ndarray, segment_ids: np.ndarray) -> np.ndarray:
@@ -186,35 +198,6 @@ class FusedNumpyBackend(NumpyReferenceBackend):
         counts = np.bincount(flat_index, minlength=batch * num_segments)
         return counts.astype(np.int64, copy=False).reshape(*batch_shape, num_segments)
 
-    def segment_mean(
-        self, values: np.ndarray, segment_ids: np.ndarray, num_segments: int
-    ) -> tuple[np.ndarray, np.ndarray]:
-        # One stable sort serves both the reduceat sums and (via bincount on
-        # the unsorted ids) the counts — no np.add.at anywhere.
-        flat, batch_shape, batch = _flatten_batch(values)
-        n, d = flat.shape[-2:]
-        ids = segment_ids.reshape(batch, n)
-        flat_index = (ids + self._offsets(batch, num_segments)).reshape(-1)
-        order = np.argsort(flat_index, kind="stable")
-        sorted_ids = flat_index[order]
-        staged = self._scratch("segment_mean", (batch * n, d), values.dtype)
-        np.take(flat.reshape(-1, d), order, axis=0, out=staged)
-        run_starts = np.flatnonzero(
-            np.concatenate(([True], sorted_ids[1:] != sorted_ids[:-1]))
-        )
-        sums = np.add.reduceat(staged, run_starts, axis=0)
-        out = np.zeros((batch * num_segments, d), dtype=values.dtype)
-        out[sorted_ids[run_starts]] = sums
-        counts = np.bincount(flat_index, minlength=batch * num_segments).astype(
-            np.int64, copy=False
-        )
-        safe = np.maximum(counts, 1).astype(values.dtype)
-        out /= safe[:, None]
-        return (
-            out.reshape(*batch_shape, num_segments, d),
-            counts.reshape(*batch_shape, num_segments),
-        )
-
     def segment_max(
         self,
         values: np.ndarray,
@@ -224,19 +207,12 @@ class FusedNumpyBackend(NumpyReferenceBackend):
     ) -> np.ndarray:
         batch_shape = segment_ids.shape[:-1]
         batch = int(np.prod(batch_shape)) if batch_shape else 1
-        n = segment_ids.shape[-1]
-        ids = segment_ids.reshape(batch, n)
-        flat_index = (ids + self._offsets(batch, num_segments)).reshape(-1)
-        order = np.argsort(flat_index, kind="stable")
-        sorted_ids = flat_index[order]
-        staged = self._scratch("segment_max", (batch * n,), values.dtype)
+        order, run_starts, run_segments = self._runs(segment_ids, batch, num_segments)
+        staged = self._scratch("segment_max", (order.size,), values.dtype)
         np.take(values.reshape(-1), order, out=staged)
-        run_starts = np.flatnonzero(
-            np.concatenate(([True], sorted_ids[1:] != sorted_ids[:-1]))
-        )
         maxes = np.maximum.reduceat(staged, run_starts)
         out = np.full(batch * num_segments, initial, dtype=values.dtype)
-        out[sorted_ids[run_starts]] = np.maximum(maxes, initial)
+        out[run_segments] = np.maximum(maxes, initial)
         return out.reshape(*batch_shape, num_segments)
 
     def kmeans_assign(

@@ -81,6 +81,7 @@ def _coerce(dtype: npt.DTypeLike) -> np.dtype[Any]:
     return resolved
 
 
+# repro: allow[env-knob] - the one policy a process fixes before its first tensor
 _DEFAULT_DTYPE: np.dtype[Any] = _coerce(os.environ.get(DTYPE_ENV_VAR, "float32"))
 
 

@@ -102,11 +102,9 @@ def _worker_main(
     """
     # Imports deferred: spawn gives a fresh interpreter.
     from repro.kernels.backend import set_backend
-    from repro.kernels.threads import set_num_threads
     from repro.serve.deadlines import deadline_scope
 
     set_backend(backend_name)
-    set_num_threads(1)  # process-level replication owns the cores
     engine = InferenceEngine(artifact, **engine_kwargs)
 
     def beat() -> None:

@@ -63,5 +63,6 @@ def test_list_rules(capsys):
         "dtype-literal",
         "grad-discipline",
         "backend-conformance",
+        "env-knob",
     ):
         assert rule_id in out

@@ -5,6 +5,7 @@ import pytest
 
 from repro.autograd import Tensor, gradcheck
 from repro.autograd import ops
+from repro.kernels import dtype_scope
 
 
 def t(data):
@@ -82,3 +83,18 @@ class TestExtrema:
     def test_min_gradient(self, rng):
         x = rng.standard_normal((2, 5))
         assert gradcheck(lambda v: ops.min_(v, axis=0), [t(x)])
+
+
+@pytest.mark.parametrize("policy", [np.float32, np.float64])
+@pytest.mark.parametrize("operand", [np.float32, np.float64])
+@pytest.mark.parametrize("axis", [None, (0, 1)], ids=["none", "all-axes"])
+@pytest.mark.parametrize("reduce", [ops.sum_, ops.mean, ops.max_, ops.min_])
+def test_full_reduction_keeps_operand_dtype(rng, reduce, axis, operand, policy):
+    """A full reduction returns a NumPy scalar; neither it nor the gradient
+    may take the policy dtype in place of the operand's."""
+    with dtype_scope(policy):
+        x = Tensor(rng.standard_normal((3, 4)).astype(operand), requires_grad=True)
+        out = reduce(x, axis=axis)
+        out.backward()
+    assert out.dtype == operand
+    assert x.grad.dtype == operand

@@ -198,3 +198,11 @@ class TestRegistry:
 
         with pytest.raises(ConfigError):
             K.get_backend("no-such-backend")
+
+    def test_fused_and_its_oracle_are_the_only_backends(self):
+        from repro.errors import ConfigError
+
+        assert K.available_backends() == ["fused", "reference"]
+        assert K.get_backend().name == "fused"
+        with pytest.raises(ConfigError), K.use_backend("parallel"):
+            pass

@@ -1,12 +1,12 @@
 """Concurrent-caller safety of the fused backend's scratch pool.
 
 The fused backend stages intermediates in reusable scratch buffers keyed
-by ``(tag, shape, dtype)``.  Before the parallel dispatch layer those
-buffers were process-global: two threads running the *same-shaped*
-kernel would hand each other half-written staging memory and corrupt
-results silently.  The pool is now ``threading.local`` — these tests pin
-that down with a direct inspection and an 8-thread hammer that asserts
-bitwise agreement with the serial answers.
+by ``(tag, shape, dtype)``.  Serving endpoints run kernels on their
+callers' threads, so a process-global pool would let two threads running
+the *same-shaped* kernel hand each other half-written staging memory and
+corrupt results silently.  The pool is ``threading.local`` — these tests
+pin that down with a direct inspection and an 8-thread hammer that
+asserts bitwise agreement with the serial answers.
 """
 
 from __future__ import annotations
@@ -103,36 +103,3 @@ def test_fused_kernels_survive_8_thread_hammer():
         thread.join()
     assert not failures, failures[:5]
 
-
-def test_parallel_backend_survives_hammer_from_caller_threads():
-    """Caller threads hammering the *parallel* backend also stay bitwise.
-
-    Each caller that crosses the size threshold dispatches shards onto
-    the shared pool; pool workers fall back to serial fused kernels via
-    the nested-dispatch guard, so no combination of caller/worker threads
-    may share scratch.
-    """
-    backend = K.get_backend("parallel")
-    inputs = [_make_inputs(seed + 100) for seed in range(4)]
-    with K.threads_scope(4, min_elements=1):
-        expected = [_run_kernels(backend, inp) for inp in inputs]
-        barrier = threading.Barrier(4)
-        failures: list[str] = []
-        lock = threading.Lock()
-
-        def hammer(thread_idx):
-            barrier.wait()
-            for _ in range(10):
-                got = _run_kernels(backend, inputs[thread_idx])
-                for g, e in zip(got, expected[thread_idx]):
-                    if not np.array_equal(g, e):
-                        with lock:
-                            failures.append(f"thread {thread_idx} diverged")
-                        return
-
-        threads = [threading.Thread(target=hammer, args=(i,)) for i in range(4)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-    assert not failures, failures

@@ -5,11 +5,6 @@ result bitwise identical to a serial single-engine run, or with a typed
 :class:`~repro.errors.ServingError` subclass before its deadline — under
 worker kills, corrupted replies, lost heartbeats and injected delays.
 No request ever blocks indefinitely.
-
-Workers run their kernels serial (``set_num_threads(1)``), so the
-reference computation also pins one thread: with >1 BLAS threads the
-``linear`` kernel's blocking changes summation order and bitwise parity
-would be meaningless.
 """
 
 from __future__ import annotations
@@ -31,7 +26,6 @@ from repro.errors import (
     ServingError,
     WorkerCrashError,
 )
-from repro.kernels.threads import threads_scope
 from repro.serve import ChaosSchedule, InferenceEngine, ModelArtifact, Router, WorkerPool
 
 pytestmark = pytest.mark.slow  # spawns worker processes
@@ -53,8 +47,7 @@ def reference(artifact):
     engine = InferenceEngine(artifact)
 
     def compute(endpoint, series, **kwargs):
-        with threads_scope(1):
-            return np.asarray(engine.endpoint(endpoint)(series, **kwargs))
+        return np.asarray(engine.endpoint(endpoint)(series, **kwargs))
 
     return compute
 

@@ -60,7 +60,7 @@ class TestTrainerFit:
         assert history.final.seconds > 0
         assert history.final.mean_groups == pytest.approx(4.0)
 
-    @pytest.mark.parametrize("backend", ["fused", "parallel"])
+    @pytest.mark.parametrize("backend", ["fused", "reference"])
     def test_batches_do_not_depend_on_kernel_backend(self, setup, rng, backend):
         """33 rows at batch_size=32 train as [32, 1] on every backend: the
         backend changes how kernels run, never how batches are carved."""
@@ -76,18 +76,18 @@ class TestTrainerFit:
 
         train = ArrayDataset(x=rng.random((33, 16, 2)), y=rng.integers(0, 2, 33))
         trainer = Trainer(model, RecordingTask(), repro.AdamW(model.parameters(), lr=1e-3))
-        with K.use_backend(backend), K.threads_scope(2):
+        with K.use_backend(backend):
             trainer.fit(train, epochs=1, batch_size=32, rng=rng)
         assert sizes == [32, 1]
 
     def test_epoch_loss_does_not_depend_on_kernel_backend(self, rng):
-        """Same data, same seed: fused and 2-thread parallel train the same
-        epoch within the backends' documented 1e-12 kernel parity."""
+        """Same data, same seed: fused and the reference oracle train the
+        same epochs to within rounding."""
         import repro.kernels as K
 
         x, y = rng.random((33, 16, 2)), rng.integers(0, 2, 33)
         losses = {}
-        for backend in ("fused", "parallel"):
+        for backend in ("fused", "reference"):
             config = RitaConfig(
                 input_channels=2, max_len=16, dim=16, n_layers=1, n_heads=2,
                 attention="vanilla", dropout=0.0, n_classes=2,
@@ -96,13 +96,13 @@ class TestTrainerFit:
             trainer = Trainer(
                 model, ClassificationTask(), repro.AdamW(model.parameters(), lr=1e-3)
             )
-            with K.use_backend(backend), K.threads_scope(2):
+            with K.use_backend(backend):
                 history = trainer.fit(
                     ArrayDataset(x=x, y=y), epochs=2, batch_size=32,
                     rng=np.random.default_rng(9),
                 )
             losses[backend] = [epoch.train_loss for epoch in history.epochs]
-        np.testing.assert_allclose(losses["parallel"], losses["fused"], rtol=1e-9, atol=0)
+        np.testing.assert_allclose(losses["reference"], losses["fused"], rtol=1e-9, atol=0)
 
     def test_training_reduces_loss(self, setup, rng):
         model, train, _ = setup
