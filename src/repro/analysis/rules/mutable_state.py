@@ -3,16 +3,16 @@
 The kernel layer, the serving tier, and autograd all execute on many
 threads at once (MicroBatcher flushes from caller threads, concurrent
 engine endpoints).  A module-level or class-level **mutable container**
-is shared by every one of those threads; the fused scratch-buffer pool
-and the ``EngineStats`` counters were both silent races before the
-pattern was named.
+is shared by every one of those threads; a process-global kernel
+scratch pool and the ``EngineStats`` counters were both silent races
+before the pattern was named.
 
 This rule flags every module-level and class-body assignment of a
 mutable container (`[]`, ``{}``, ``set()``, ``dict()``, comprehensions,
 ``collections`` factories) in ``repro.kernels``, ``repro.serve`` and
 ``repro.autograd``.  Compliant alternatives it recognizes:
 
-* ``threading.local()`` — per-thread state (the scratch-pool fix);
+* ``threading.local()`` — per-thread state;
 * ``threading.Lock()`` / ``RLock()`` / ``Condition()`` / ... — the
   guards themselves;
 * immutable values — tuples, ``frozenset(...)``,

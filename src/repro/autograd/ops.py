@@ -45,6 +45,20 @@ def _is_weak_scalar(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+def _pair(a, b) -> tuple[Tensor, Tensor]:
+    """Both operands as tensors, typed as NumPy would type ``a op b``.
+
+    A Python number made a tensor on its own would take the policy dtype
+    and, as a strong 0-d array, promote the other operand; NumPy keeps it
+    weak, so it takes the other operand's dtype here instead.
+    """
+    if _is_weak_scalar(a) and isinstance(b, Tensor):
+        a = np.asarray(a, dtype=np.result_type(a, b.data))
+    elif _is_weak_scalar(b) and isinstance(a, Tensor):
+        b = np.asarray(b, dtype=np.result_type(a.data, b))
+    return as_tensor(a), as_tensor(b)
+
+
 def add(a, b) -> Tensor:
     """Elementwise ``a + b`` with NumPy broadcasting."""
     if _is_weak_scalar(b) and isinstance(a, Tensor):
@@ -107,9 +121,7 @@ def mul(a, b) -> Tensor:
 
 def div(a, b) -> Tensor:
     """Elementwise ``a / b``."""
-    # b == 0 falls through to the tensor path so division by a zero scalar
-    # keeps NumPy inf/nan semantics instead of raising ZeroDivisionError.
-    if _is_weak_scalar(b) and b != 0 and isinstance(a, Tensor):
+    if _is_weak_scalar(b) and isinstance(a, Tensor):
         def backward(grad):
             return (grad / b,)
 
@@ -250,7 +262,7 @@ def abs_(a) -> Tensor:
 
 def maximum(a, b) -> Tensor:
     """Elementwise maximum; ties send the full gradient to ``a``."""
-    a, b = as_tensor(a), as_tensor(b)
+    a, b = _pair(a, b)
     take_a = a.data >= b.data
     out_data = np.where(take_a, a.data, b.data)
 
@@ -491,7 +503,7 @@ def where(condition, a, b) -> Tensor:
     """
     cond = condition.data if isinstance(condition, Tensor) else np.asarray(condition)
     cond = cond.astype(bool)
-    a, b = as_tensor(a), as_tensor(b)
+    a, b = _pair(a, b)
     out_data = np.where(cond, a.data, b.data)
 
     def backward(grad):

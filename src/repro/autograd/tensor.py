@@ -119,6 +119,10 @@ class Tensor:
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_backward", "_parents")
+    # NumPy defers to the reflected operators, so ``np.float32(2) * x``
+    # and ``array * x`` stay on the graph instead of becoming an object
+    # array of per-element tensors.
+    __array_ufunc__ = None
 
     def __init__(
         self,

@@ -13,12 +13,11 @@ batch element is clustered independently but in one vectorized pass, which
 is how the real system amortizes the grouping over ``batch x heads``.
 
 The Lloyd inner loop runs on the active :mod:`repro.kernels` backend —
-``kmeans_assign`` (fused distance+argmin with a reused ``(B, n, N)``
-scratch buffer), ``segment_mean`` (sort+``reduceat`` center update),
+``kmeans_assign`` (fused distance+argmin over one ``(B, n, N)`` matrix
+product), ``segment_mean`` (sort+``reduceat`` center update),
 ``segment_count`` and ``segment_max`` — so the grouping step shares the
-registry, the scratch pools, and the reference/fused parity contract with
-the rest of the compute stack.  ``with use_backend("reference")`` oracles
-the fused path.
+registry and the reference/fused parity contract with the rest of the
+compute stack.  ``with use_backend("reference")`` oracles the fused path.
 """
 
 from __future__ import annotations

@@ -9,7 +9,7 @@ strategy.  Four pieces:
   *reference* backend (semantics oracle);
 * :mod:`repro.kernels.fused` — the optimized *fused* backend, the one
   the stack executes on: in-place softmax/layer-norm, single-GEMM
-  affine, sort+``reduceat`` segment sum with scratch-buffer reuse;
+  affine, sort+``reduceat`` segment sum;
 * :mod:`repro.kernels.functional` — autograd nodes over the active
   backend with hand-written backwards and no-grad fast paths.
 

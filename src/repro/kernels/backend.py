@@ -65,9 +65,8 @@ class KernelBackend:
 
     Forward methods return plain ``np.ndarray`` results (plus caches where
     the backward needs saved intermediates); backward methods map an
-    incoming gradient to input gradients.  Backends are stateless from the
-    caller's perspective — any internal scratch reuse must not leak into
-    returned arrays.
+    incoming gradient to input gradients.  Backends keep no state between
+    calls, so concurrent callers share nothing through them.
     """
 
     name: str = "abstract"

@@ -11,24 +11,14 @@ Same semantics as :class:`~repro.kernels.backend.NumpyReferenceBackend`
 * **sort + ``reduceat`` segment sum** — the embedding-aggregation kernel
   of Algorithm 1 avoids ``np.add.at`` (whose fancy-index buffering
   dominates the reference backend's runtime) by sorting row indices once
-  and reducing contiguous runs;
-* **scratch-buffer reuse** — per-shape scratch arrays (the sorted-values
-  staging buffer, the per-batch segment offsets) are cached across calls,
-  so steady-state training allocates no per-step scratch for the
-  scatter/gather pair.  Only buffers that never escape a kernel call are
-  pooled; every returned array is freshly owned by the caller.
+  and reducing contiguous runs.
 
-The scratch pool is **per thread** (``threading.local``): serving
-endpoints run on their callers' threads (concurrent requests, the
-micro-batcher's flushes), and a process-global pool would hand two
-threads the same staging buffer — silent data corruption.  Each thread
-warms its own pool instead; the cost is one pool per long-lived caller
-thread.
+The backend keeps no state between calls: every array a kernel touches
+is either an argument or allocated by that call, so concurrent callers
+(serving endpoints run on their callers' threads) share nothing.
 """
 
 from __future__ import annotations
-
-import threading
 
 import numpy as np
 
@@ -40,49 +30,16 @@ from repro.kernels.backend import (
 
 __all__ = ["FusedNumpyBackend"]
 
-#: Pooled-scratch entries kept before the cache resets (shape churn guard).
-_MAX_POOLED = 64
-
 
 class FusedNumpyBackend(NumpyReferenceBackend):
-    """Fused kernels with buffer reuse; the backend every process starts on."""
+    """Fused kernels; the backend every process starts on."""
 
     name = "fused"
 
-    def __init__(self) -> None:
-        self._local = threading.local()
-
-    # -- scratch pool (per thread; see the module docstring) ---------------
-    @property
-    def _buffers(self) -> dict[tuple, np.ndarray]:
-        """This thread's scratch pool (created on first use per thread)."""
-        pool = getattr(self._local, "buffers", None)
-        if pool is None:
-            pool = {}
-            self._local.buffers = pool
-        return pool
-
-    def _scratch(self, tag: str, shape: tuple[int, ...], dtype) -> np.ndarray:
-        """A reusable uninitialized buffer; contents never escape a call."""
-        key = (tag, shape, np.dtype(dtype).str)
-        pool = self._buffers
-        buffer = pool.get(key)
-        if buffer is None:
-            if len(pool) >= _MAX_POOLED:
-                pool.clear()
-            buffer = np.empty(shape, dtype=dtype)
-            pool[key] = buffer
-        return buffer
-
-    def _offsets(self, batch: int, num_segments: int) -> np.ndarray:
-        """Cached ``(batch, 1)`` row offsets used to flatten batched ids."""
-        key = ("offsets", batch, num_segments)
-        pool = self._buffers
-        offsets = pool.get(key)
-        if offsets is None:
-            offsets = np.arange(batch, dtype=np.int64)[:, None] * num_segments
-            pool[key] = offsets
-        return offsets
+    @staticmethod
+    def _offsets(batch: int, num_segments: int) -> np.ndarray:
+        """``(batch, 1)`` row offsets used to flatten batched ids."""
+        return np.arange(batch, dtype=np.int64)[:, None] * num_segments
 
     def _runs(
         self, segment_ids: np.ndarray, batch: int, num_segments: int
@@ -171,10 +128,9 @@ class FusedNumpyBackend(NumpyReferenceBackend):
         self, values: np.ndarray, segment_ids: np.ndarray, num_segments: int
     ) -> np.ndarray:
         flat, batch_shape, batch = _flatten_batch(values)
-        n, d = flat.shape[-2:]
+        d = flat.shape[-1]
         order, run_starts, run_segments = self._runs(segment_ids, batch, num_segments)
-        staged = self._scratch("segment_sum", (batch * n, d), values.dtype)
-        np.take(flat.reshape(-1, d), order, axis=0, out=staged)
+        staged = np.take(flat.reshape(-1, d), order, axis=0)
         out = np.zeros((batch * num_segments, d), dtype=values.dtype)
         out[run_segments] = np.add.reduceat(staged, run_starts, axis=0)
         return out.reshape(*batch_shape, num_segments, d)
@@ -208,8 +164,7 @@ class FusedNumpyBackend(NumpyReferenceBackend):
         batch_shape = segment_ids.shape[:-1]
         batch = int(np.prod(batch_shape)) if batch_shape else 1
         order, run_starts, run_segments = self._runs(segment_ids, batch, num_segments)
-        staged = self._scratch("segment_max", (order.size,), values.dtype)
-        np.take(values.reshape(-1), order, out=staged)
+        staged = np.take(values.reshape(-1), order)
         maxes = np.maximum.reduceat(staged, run_starts)
         out = np.full(batch * num_segments, initial, dtype=values.dtype)
         out[run_segments] = np.maximum(maxes, initial)
@@ -221,16 +176,10 @@ class FusedNumpyBackend(NumpyReferenceBackend):
         centers: np.ndarray,
         points_sq: np.ndarray | None = None,
     ) -> tuple[np.ndarray, np.ndarray]:
-        # One pooled (B, n, N) buffer absorbs the matmul and the in-place
-        # scale/shift, so Lloyd iterations allocate no per-step distance
-        # matrix.  |v|^2 is skipped entirely for the argmin (constant per
-        # point) and only added back for the returned member distances.
-        batch, n, _ = points.shape
-        num_centers = centers.shape[1]
-        buffer = self._scratch(
-            "kmeans_assign", (batch, n, num_centers), points.dtype
-        )
-        np.matmul(points, np.swapaxes(centers, -1, -2), out=buffer)
+        # The (B, n, N) matmul output absorbs the scale/shift in place.
+        # |v|^2 is skipped entirely for the argmin (constant per point)
+        # and only added back for the returned member distances.
+        buffer = np.matmul(points, np.swapaxes(centers, -1, -2))
         buffer *= -2.0
         center_sq = np.einsum("bkd,bkd->bk", centers, centers, optimize=True)
         buffer += center_sq[:, None, :]

@@ -1,11 +1,12 @@
 """Padding-mask support: parity, purity, and cache behaviour.
 
-The mask-parity invariant (ISSUE 3 acceptance): for a ragged batch padded
+The mask-parity invariant: for a ragged batch padded
 to a common length, every attention mechanism produces outputs at valid
-positions equal to running each sequence unpadded — within 1e-5 (f64) /
-1e-4 (f32) — and those outputs are *bitwise* independent of whatever the
-padding contains.  Group attention's centroids, counts, and aggregates
-must be bitwise free of padded-key contributions.
+positions equal to running each sequence unpadded — at the
+``padded vs solo`` row of ``tests/tolerances.py`` — and those
+outputs are *bitwise* independent of whatever the padding contains.
+Group attention's centroids, counts, and aggregates must be bitwise
+free of padded-key contributions.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from repro.attention import (
 from repro.attention.local import _MASK_CACHE_SIZE
 from repro.autograd.tensor import Tensor
 from repro.cluster.kmeans import batched_kmeans
+from tolerances import assert_parity
 
 B, H, N_PAD, D = 3, 2, 12, 4
 LENGTHS = [12, 9, 5]
@@ -57,28 +59,25 @@ MECHS = {
 
 
 @pytest.mark.parametrize("backend", ["fused", "reference"])
-@pytest.mark.parametrize(
-    "dtype,tol", [(np.float64, 1e-5), (np.float32, 1e-4)], ids=["f64", "f32"]
-)
+@pytest.mark.parametrize("dtype", [np.float64, np.float32], ids=["f64", "f32"])
 @pytest.mark.parametrize("kind", sorted(MECHS))
 class TestMaskParity:
-    def test_padded_equals_unpadded(self, kind, dtype, tol, backend):
+    def test_padded_equals_unpadded(self, kind, dtype, backend):
         q, k, v, mask = ragged_qkv(dtype)
         with K.dtype_scope(dtype), K.use_backend(backend):
             mech = MECHS[kind]()
             padded_out = mech(Tensor(q), Tensor(k), Tensor(v), mask=mask).data
-            assert padded_out.dtype == dtype
             for b, length in enumerate(LENGTHS):
                 sl = np.s_[b : b + 1, :, :length, :]
                 # The same module instance (same projections / features)
                 # run on the unpadded slice.
                 solo = mech(Tensor(q[sl]), Tensor(k[sl]), Tensor(v[sl])).data
-                np.testing.assert_allclose(
-                    padded_out[sl], solo, atol=tol, rtol=tol,
-                    err_msg=f"{kind} parity broken for sequence {b} (len {length})",
+                assert_parity(
+                    padded_out[sl], solo, "padded vs solo", dtype,
+                    f"{kind} parity broken for sequence {b} (len {length})",
                 )
 
-    def test_output_bitwise_independent_of_padding(self, kind, dtype, tol, backend):
+    def test_output_bitwise_independent_of_padding(self, kind, dtype, backend):
         q, k, v, mask = ragged_qkv(dtype)
         pad = np.broadcast_to(~mask[:, None, :, None], q.shape)
         q2, k2, v2 = q.copy(), k.copy(), v.copy()
@@ -92,7 +91,7 @@ class TestMaskParity:
             err_msg=f"{kind}: padded content leaked into valid outputs",
         )
 
-    def test_gradients_ignore_padding(self, kind, dtype, tol, backend):
+    def test_gradients_ignore_padding(self, kind, dtype, backend):
         """Backward flows no gradient into padded key/value positions."""
         if dtype == np.float32:
             pytest.skip("gradient route checked once, in float64")

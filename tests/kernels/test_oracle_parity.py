@@ -1,11 +1,12 @@
 """The fused backend against the reference oracle at the edges.
 
-``test_kernels.py`` checks each kernel on one representative shape.  Here
-the fused backend meets the oracle where its batch flattening, run
-tables and scratch buffers could slip: fewer rows than a batch axis
-suggests, broadcast masks, optional arguments left out, 1-D and 3-D
-inputs, an empty input, a non-last axis — and then through every
-attention mechanism, forward in both dtypes and backward.
+The parity matrix checks each kernel on one shape of integer-valued
+inputs.  Here the fused backend meets the oracle on random inputs where
+its batch flattening and run tables could slip: fewer rows than a batch
+axis suggests, broadcast masks, optional arguments left out, 1-D and
+3-D inputs, an empty input, a non-last axis — and then through every
+attention mechanism, forward in both dtypes and backward.  Bars come
+from ``tests/tolerances.py``.
 """
 
 from __future__ import annotations
@@ -22,14 +23,11 @@ from repro.attention import (
     VanillaAttention,
 )
 from repro.autograd.tensor import Tensor
+from tolerances import assert_parity
 
 
 def _backends():
     return K.get_backend("fused"), K.get_backend("reference")
-
-
-def _tolerance(dtype) -> float:
-    return 1e-12 if dtype == np.float64 else 1e-6
 
 
 MECHANISMS = {
@@ -140,11 +138,8 @@ class TestEdgeGeometries:
             if e is None:
                 assert g is None
                 continue
-            assert (g.shape, g.dtype) == (e.shape, e.dtype)
-            if np.issubdtype(e.dtype, np.integer):
-                assert np.array_equal(g, e)
-            else:
-                np.testing.assert_allclose(g, e, atol=_tolerance(e.dtype), rtol=0)
+            dtype = e.dtype if e.dtype.kind == "f" else np.float64
+            assert_parity(g, e, "kernel", dtype)
 
 
 class TestMechanismParity:
@@ -158,10 +153,7 @@ class TestMechanismParity:
                 with K.use_backend(backend):
                     mechanism = MECHANISMS[name]()
                     outputs[backend] = mechanism(Tensor(q), Tensor(k), Tensor(v)).data
-        assert outputs["fused"].dtype == dtype
-        np.testing.assert_allclose(
-            outputs["fused"], outputs["reference"], atol=_tolerance(dtype), rtol=0
-        )
+        assert_parity(outputs["fused"], outputs["reference"], "mechanism", dtype)
 
     @pytest.mark.parametrize("name", sorted(MECHANISMS))
     def test_backward_matches_reference(self, rng, name):
@@ -173,4 +165,4 @@ class TestMechanismParity:
                 (MECHANISMS[name]()(*tensors) * weight).sum().backward()
             grads[backend] = [t.grad for t in tensors]
         for f, r in zip(grads["fused"], grads["reference"]):
-            np.testing.assert_allclose(f, r, atol=1e-12, rtol=0)
+            assert_parity(f, r, "mechanism backward", np.float64)

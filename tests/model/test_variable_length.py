@@ -1,4 +1,7 @@
-"""Variable-length series through the full model: parity, pooling, chunking."""
+"""Variable-length series through the full model: parity, pooling, chunking.
+
+Vanilla and group attention's padded-vs-solo parity: ``tests/test_parity_matrix.py``.
+"""
 
 from __future__ import annotations
 
@@ -13,6 +16,7 @@ from repro.model import RitaConfig, RitaModel
 from repro.serve import InferenceEngine
 from repro.tasks import ClassificationTask
 from repro.train import Trainer
+from tolerances import assert_parity
 
 LENGTHS = [20, 14, 9]
 
@@ -33,31 +37,24 @@ def ragged_batch(rng, lengths=LENGTHS, channels=2):
 
 
 class TestEncodeParity:
-    @pytest.mark.parametrize("attention", ["vanilla", "local", "performer", "linformer", "group"])
+    @pytest.mark.parametrize("attention", ["local", "performer", "linformer"])
     def test_padded_encode_matches_unpadded(self, rng, attention):
-        """Acceptance: full RitaModel.encode parity on a ragged batch.
-
-        Group attention runs with n_groups >= n (singleton groups — Lemma 3
-        — so the clustering RNG cannot perturb the comparison).
-        """
+        """Acceptance: full RitaModel.encode parity on a ragged batch."""
         model = make_model(attention).eval()
-        for layer in model.group_attention_layers():
-            layer.warm_start = False
         series, padded, mask = ragged_batch(rng)
         cls_padded, windows_padded = model.encode(padded, mask=mask)
         wmask = model.window_mask(mask)
         for b, single in enumerate(series):
             cls_solo, windows_solo = model.encode(single[None])
-            np.testing.assert_allclose(
-                cls_padded.data[b], cls_solo.data[0], atol=1e-5, rtol=1e-5,
-                err_msg=f"{attention}: CLS parity broken for sequence {b}",
+            assert_parity(
+                cls_padded.data[b], cls_solo.data[0], "padded vs solo", np.float64,
+                f"{attention}: CLS parity broken for sequence {b}",
             )
             n_valid = int(wmask[b].sum())
             assert n_valid == windows_solo.shape[1]
-            np.testing.assert_allclose(
-                windows_padded.data[b, :n_valid], windows_solo.data[0],
-                atol=1e-5, rtol=1e-5,
-                err_msg=f"{attention}: window parity broken for sequence {b}",
+            assert_parity(
+                windows_padded.data[b, :n_valid], windows_solo.data[0], "padded vs solo",
+                np.float64, f"{attention}: window parity broken for sequence {b}",
             )
 
     def test_padding_content_cannot_leak(self, rng):
@@ -79,22 +76,20 @@ class TestEncodeParity:
 
 
 class TestReconstructParity:
-    @pytest.mark.parametrize("attention", ["vanilla", "local", "performer", "linformer", "group"])
+    @pytest.mark.parametrize("attention", ["local", "performer", "linformer"])
     def test_padded_reconstruct_matches_unpadded(self, rng, attention):
         """Regression: the decoder's receptive field at the last
         ``conv_padding`` valid timesteps straddles windows past the valid
         range; their (unspecified) embeddings used to contaminate the
         reconstruction of the valid tail."""
         model = make_model(attention).eval()
-        for layer in model.group_attention_layers():
-            layer.warm_start = False
         series, padded, mask = ragged_batch(rng)
         recon = model.reconstruct(padded, mask=mask)
         for b, single in enumerate(series):
             solo = model.reconstruct(single[None])
-            np.testing.assert_allclose(
-                recon.data[b, : len(single)], solo.data[0], atol=1e-5, rtol=1e-5,
-                err_msg=f"{attention}: reconstruct parity broken for sequence {b}",
+            assert_parity(
+                recon.data[b, : len(single)], solo.data[0], "padded vs solo", np.float64,
+                f"{attention}: reconstruct parity broken for sequence {b}",
             )
 
     def test_reconstruct_valid_region_independent_of_pad_content(self, rng):
@@ -137,14 +132,6 @@ class TestMaskedMeanPooling:
         np.testing.assert_allclose(pooled.data[1], windows.data[1, :3].mean(axis=0), atol=1e-12)
         np.testing.assert_allclose(pooled.data[0], windows.data[0].mean(axis=0), atol=1e-12)
 
-    def test_mean_embed_parity(self, rng):
-        engine = InferenceEngine(make_model("vanilla"))
-        series, padded, mask = ragged_batch(rng)
-        pooled = engine.embed(padded, mask=mask, pooling="mean")
-        for b, single in enumerate(series):
-            solo = engine.embed(single[None], pooling="mean")
-            np.testing.assert_allclose(pooled[b], solo[0], atol=1e-5, rtol=1e-5)
-
     def test_unknown_pooling_raises(self, rng):
         engine = InferenceEngine(make_model())
         _, padded, mask = ragged_batch(rng)
@@ -154,29 +141,13 @@ class TestMaskedMeanPooling:
 
 
 class TestChunkedInference:
-    def test_classify_chunked_equals_full(self, rng):
+    def test_chunked_predict_is_classify_argmax(self, rng):
         model = make_model("vanilla")
         x = rng.standard_normal((7, 16, 2))
-        full = InferenceEngine(model).classify(x)
-        chunked = InferenceEngine(model, max_batch_size=3).classify(x)
-        np.testing.assert_allclose(chunked, full, atol=1e-10)
         np.testing.assert_array_equal(
-            InferenceEngine(model, max_batch_size=2).predict(x), full.argmax(axis=-1)
+            InferenceEngine(model, max_batch_size=2).predict(x),
+            InferenceEngine(model).classify(x).argmax(axis=-1),
         )
-
-    def test_reconstruct_and_embed_chunked(self, rng):
-        model = make_model("vanilla")
-        full, chunked = InferenceEngine(model), InferenceEngine(model, max_batch_size=2)
-        x = rng.standard_normal((5, 16, 2))
-        np.testing.assert_allclose(chunked.reconstruct(x), full.reconstruct(x), atol=1e-10)
-        np.testing.assert_allclose(chunked.embed(x), full.embed(x), atol=1e-10)
-
-    def test_chunked_with_mask(self, rng):
-        model = make_model("vanilla")
-        _, padded, mask = ragged_batch(rng, lengths=[20, 14, 9, 17, 6])
-        full = InferenceEngine(model).classify(padded, mask=mask)
-        chunked = InferenceEngine(model, max_batch_size=2).classify(padded, mask=mask)
-        np.testing.assert_allclose(chunked, full, atol=1e-10)
 
     def test_invalid_batch_size_raises(self):
         for max_batch_size in (0, -2):

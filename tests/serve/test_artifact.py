@@ -8,7 +8,7 @@ import pytest
 import repro
 from repro.errors import ConfigError, IntegrityError
 from repro.serialize import decode_json, encode_json
-from repro.serve import ARTIFACT_FORMAT_VERSION, InferenceEngine, ModelArtifact
+from repro.serve import ARTIFACT_FORMAT_VERSION, ModelArtifact
 from repro.train import save_checkpoint
 
 _HEADER = "__artifact__"
@@ -23,23 +23,15 @@ def make_model(attention="vanilla", **overrides):
     return repro.RitaModel(config, rng=np.random.default_rng(5))
 
 
-
 class TestRoundTrip:
-    def test_save_load_build_parity(self, rng, tmp_path):
-        model = make_model()
+    def test_save_load_build_keeps_metadata_and_eval_mode(self, tmp_path):
+        # Served values after the round trip: tests/test_parity_matrix.py.
         path = tmp_path / "model.rita"
-        ModelArtifact.from_model(model, metadata={"run": "unit"}).save(path)
+        ModelArtifact.from_model(make_model(), metadata={"run": "unit"}).save(path)
         artifact = ModelArtifact.load(path)
         assert artifact.metadata == {"run": "unit"}
         assert artifact.format_version == ARTIFACT_FORMAT_VERSION
-        rebuilt = artifact.build_model()
-        assert not rebuilt.training  # eval mode out of the box
-        x = rng.standard_normal((3, 20, 2))
-        np.testing.assert_allclose(
-            InferenceEngine(rebuilt).classify(x),
-            InferenceEngine(model).classify(x),
-            atol=1e-6, rtol=1e-6,
-        )
+        assert not artifact.build_model().training  # eval mode out of the box
 
     def test_dtype_pinned_independent_of_policy(self, tmp_path):
         # Conftest pins float64; an artifact exported as float32 must

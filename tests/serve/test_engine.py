@@ -1,4 +1,8 @@
-"""InferenceEngine: endpoint parity with direct model calls, on both backends."""
+"""InferenceEngine: chunking, counters, endpoints and option checks.
+
+Endpoint values against the direct model, on both backends, are
+checked by ``tests/test_parity_matrix.py``.
+"""
 
 from __future__ import annotations
 
@@ -8,19 +12,13 @@ import numpy as np
 import pytest
 
 import repro
-import repro.kernels as K
-from repro.autograd.tensor import no_grad
 from repro.data import pad_ragged
 from repro.errors import ConfigError, ShapeError
 from repro.serve import InferenceEngine, ModelArtifact, WorkerPool
 from repro.serve.engine import check_engine_options
+from tolerances import assert_parity
 
 LENGTHS = [20, 14, 9]
-
-#: Deterministic inference configs: vanilla, plus group attention with
-#: n_groups >= n (singleton groups, Lemma 3) so the clustering RNG cannot
-#: perturb the engine-vs-model comparison.
-ATTENTIONS = ["vanilla", "group"]
 
 
 def make_model(attention="vanilla", rng_seed=11, **overrides):
@@ -41,94 +39,8 @@ def ragged_batch(rng, lengths=LENGTHS, channels=2):
     return series, padded, mask
 
 
-class TestEndpointParity:
-    """Acceptance: engine outputs == direct model calls, dense and ragged."""
-
-    @pytest.mark.parametrize("backend", ["reference", "fused"])
-    @pytest.mark.parametrize("attention", ATTENTIONS)
-    def test_dense_parity_f64(self, rng, backend, attention):
-        model = make_model(attention).eval()
-        engine = InferenceEngine(model)
-        x = rng.standard_normal((4, 24, 2))
-        with K.use_backend(backend), no_grad():
-            np.testing.assert_allclose(
-                engine.classify(x), model.classify(x).data, atol=1e-5, rtol=1e-5
-            )
-            np.testing.assert_allclose(
-                engine.reconstruct(x), model.reconstruct(x).data, atol=1e-5, rtol=1e-5
-            )
-            cls_embedding, windows = model.encode(x)
-            np.testing.assert_allclose(
-                engine.embed(x), cls_embedding.data, atol=1e-5, rtol=1e-5
-            )
-            np.testing.assert_allclose(
-                engine.embed(x, pooling="mean"),
-                model.pool_windows(windows).data,
-                atol=1e-5, rtol=1e-5,
-            )
-
-    @pytest.mark.parametrize("backend", ["reference", "fused"])
-    @pytest.mark.parametrize("attention", ATTENTIONS)
-    def test_ragged_parity_f64(self, rng, backend, attention):
-        model = make_model(attention).eval()
-        engine = InferenceEngine(model)
-        series, padded, mask = ragged_batch(rng)
-        with K.use_backend(backend), no_grad():
-            np.testing.assert_allclose(
-                engine.classify(padded, mask=mask),
-                model.classify(padded, mask=mask).data,
-                atol=1e-5, rtol=1e-5,
-            )
-            # Ragged-list form == padded+mask form == per-series solo.
-            from_list = engine.classify(series)
-            np.testing.assert_allclose(
-                from_list, engine.classify(padded, mask=mask), atol=1e-5, rtol=1e-5
-            )
-            for row, single in enumerate(series):
-                np.testing.assert_allclose(
-                    from_list[row], engine.classify(single)[0], atol=1e-5, rtol=1e-5
-                )
-
-    @pytest.mark.parametrize("backend", ["reference", "fused"])
-    @pytest.mark.parametrize("attention", ATTENTIONS)
-    def test_parity_f32(self, backend, attention):
-        with K.dtype_scope(np.float32):
-            model = make_model(attention).eval()
-            engine = InferenceEngine(model)
-            rng = np.random.default_rng(3)
-            x = rng.standard_normal((3, 24, 2)).astype(np.float32)
-            series = [rng.standard_normal((length, 2)).astype(np.float32) for length in LENGTHS]
-            padded, mask = pad_ragged(series)
-            assert engine.dtype == np.float32
-            with K.use_backend(backend), no_grad():
-                np.testing.assert_allclose(
-                    engine.classify(x), model.classify(x).data, atol=1e-4, rtol=1e-4
-                )
-                np.testing.assert_allclose(
-                    engine.embed(padded, mask=mask),
-                    model.encode(padded, mask=mask)[0].data,
-                    atol=1e-4, rtol=1e-4,
-                )
-
-    def test_single_series_is_batch_of_one(self, rng):
-        engine = InferenceEngine(make_model().eval())
-        x = rng.standard_normal((4, 20, 2))
-        np.testing.assert_allclose(
-            engine.classify(x[0]), engine.classify(x[:1]), atol=1e-10
-        )
-
-    def test_chunked_equals_full(self, rng):
-        model = make_model().eval()
-        x = rng.standard_normal((7, 20, 2))
-        full = InferenceEngine(model).classify(x)
-        chunked_engine = InferenceEngine(model, max_batch_size=3)
-        np.testing.assert_allclose(chunked_engine.classify(x), full, atol=1e-10)
-        assert chunked_engine.stats.batches_total == 3
-        assert chunked_engine.stats.requests_total == 7
-
-
 class TestChunkLoop:
-    """The serial chunk loop: bounded forwards, one-pass results, exact counters."""
+    """The serial chunk loop: bounded forwards and exact counters."""
 
     @staticmethod
     def spy_forward_rows(model, monkeypatch) -> list[int]:
@@ -145,13 +57,12 @@ class TestChunkLoop:
 
     @pytest.mark.parametrize("limit", [1, 3, 6])
     @pytest.mark.parametrize("endpoint", ["classify", "predict", "embed", "reconstruct"])
-    def test_chunks_match_one_pass(self, rng, monkeypatch, endpoint, limit):
+    def test_chunk_forwards_and_counters(self, rng, monkeypatch, endpoint, limit):
         model = make_model().eval()
         x = rng.standard_normal((7, 20, 2))
-        full = getattr(InferenceEngine(model), endpoint)(x)
         rows = self.spy_forward_rows(model, monkeypatch)
         engine = InferenceEngine(model, max_batch_size=limit)
-        np.testing.assert_allclose(getattr(engine, endpoint)(x), full, atol=1e-10)
+        getattr(engine, endpoint)(x)
         expected_rows = [limit] * (7 // limit) + ([7 % limit] if 7 % limit else [])
         assert rows == expected_rows
         assert engine.stats.batches_total == len(expected_rows)
@@ -159,16 +70,17 @@ class TestChunkLoop:
         recorded = "classify" if endpoint == "predict" else endpoint
         assert engine.stats.by_endpoint == {recorded: 7}
 
-    @pytest.mark.parametrize("endpoint", ["classify", "embed", "reconstruct"])
-    def test_ragged_chunks_slice_the_mask(self, rng, endpoint):
-        model = make_model().eval()
+    def test_ragged_request_chunks_like_a_dense_one(self, rng):
         _, padded, mask = ragged_batch(rng, lengths=[20, 14, 9, 17, 6])
-        full = getattr(InferenceEngine(model), endpoint)(padded, mask=mask)
-        chunked = InferenceEngine(model, max_batch_size=2)
-        np.testing.assert_allclose(
-            getattr(chunked, endpoint)(padded, mask=mask), full, atol=1e-10
-        )
+        chunked = InferenceEngine(make_model().eval(), max_batch_size=2)
+        chunked.classify(padded, mask=mask)
         assert chunked.stats.batches_total == 3
+        assert chunked.stats.requests_total == 5
+
+    def test_single_series_is_batch_of_one(self, rng):
+        engine = InferenceEngine(make_model().eval())
+        x = rng.standard_normal((4, 20, 2))
+        np.testing.assert_array_equal(engine.classify(x[0]), engine.classify(x[:1]))
 
     def test_request_at_the_limit_is_one_forward(self, rng, monkeypatch):
         model = make_model().eval()
@@ -203,9 +115,7 @@ class TestForecast:
         extended = np.concatenate(
             [x, np.full((2, horizon, 2), model.config.mask_value)], axis=1
         )
-        np.testing.assert_allclose(
-            out, engine.reconstruct(extended)[:, 16:, :], atol=1e-10
-        )
+        assert_parity(out, engine.reconstruct(extended)[:, 16:, :], "forecast", np.float64)
 
     def test_ragged_forecast_matches_solo(self, rng):
         model = make_model().eval()
@@ -213,8 +123,8 @@ class TestForecast:
         series = [rng.standard_normal((length, 2)) for length in (18, 12)]
         out = engine.forecast(series, horizon=3)
         for row, single in enumerate(series):
-            np.testing.assert_allclose(
-                out[row], engine.forecast(single, horizon=3)[0], atol=1e-5, rtol=1e-5
+            assert_parity(
+                out[row], engine.forecast(single, horizon=3)[0], "padded vs solo", np.float64
             )
 
     def test_forecast_counted_under_its_own_endpoint(self, rng):

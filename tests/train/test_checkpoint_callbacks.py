@@ -9,6 +9,7 @@ from repro.errors import ConfigError
 from repro.model import RitaConfig, RitaModel
 from repro.tasks import ClassificationTask
 from repro.train import EarlyStopping, Trainer, load_checkpoint, save_checkpoint
+from tolerances import assert_parity
 
 
 @pytest.fixture
@@ -50,7 +51,7 @@ class TestCheckpoint:
         save_checkpoint(model, path)
         clone = RitaModel(config, rng=np.random.default_rng(9)).eval()
         load_checkpoint(clone, path)
-        np.testing.assert_allclose(clone.classify(x).data, before, atol=1e-12)
+        assert_parity(clone.classify(x).data, before, "checkpoint", np.float64)
 
     def test_missing_suffix_resolved(self, model, tmp_path):
         path = tmp_path / "weights"

@@ -12,6 +12,7 @@ from repro.simgpu import SimulatedGPU
 from repro.tasks import ClassificationTask
 from repro.train import History, Trainer, evaluate_task
 from repro.train.trainer import EpochStats
+from tolerances import assert_parity
 
 
 @pytest.fixture
@@ -102,7 +103,7 @@ class TestTrainerFit:
                     rng=np.random.default_rng(9),
                 )
             losses[backend] = [epoch.train_loss for epoch in history.epochs]
-        np.testing.assert_allclose(losses["reference"], losses["fused"], rtol=1e-9, atol=0)
+        assert_parity(losses["reference"], losses["fused"], "training", np.float64)
 
     def test_training_reduces_loss(self, setup, rng):
         model, train, _ = setup
@@ -253,7 +254,7 @@ class TestEvaluationHelpers:
         whole = evaluate_task(model, ClassificationTask(), val, batch_size=len(val))
         batched = evaluate_task(model, ClassificationTask(), val, batch_size=batch_size)
         assert batched["accuracy"] == whole["accuracy"]
-        assert batched["loss"] == pytest.approx(whole["loss"], rel=1e-12)
+        assert_parity(batched["loss"], whole["loss"], "evaluation batch size", np.float64)
 
     def test_evaluate_task_reproducible_for_group_models(self, rng):
         """Group attention draws K-means RNG per forward; identically seeded
