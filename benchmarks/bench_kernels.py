@@ -22,6 +22,7 @@ not absolute seconds, across machines.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import sys
 import time
@@ -37,7 +38,6 @@ from common import bench_meta, emit_payload, parse_bench_args
 import repro.kernels as K
 from repro.attention.group import GroupAttention
 from repro.attention.vanilla import VanillaAttention
-from repro.autograd import ops
 from repro.autograd.tensor import Tensor, no_grad
 from repro.cluster.kmeans import batched_kmeans
 
@@ -73,9 +73,11 @@ def _grouping(k: np.ndarray, n_groups: int):
         k.reshape(batch * heads, n, d_k), n_groups, n_iters=2,
         rng=np.random.default_rng(1),
     )
-    ids = result.assignments.reshape(batch, heads, n)
+    segments = dataclasses.replace(
+        result.segments, ids=result.assignments.reshape(batch, heads, n)
+    )
     counts = result.counts.reshape(batch, heads, result.n_clusters)
-    return ids, counts, result.n_clusters
+    return segments, counts
 
 
 # ----------------------------------------------------------------------
@@ -83,10 +85,10 @@ def _grouping(k: np.ndarray, n_groups: int):
 # kernel layer).  Group softmax as five recorded autograd ops; segment
 # sums on the np.add.at reference kernels; float64 throughout.
 # ----------------------------------------------------------------------
-def _legacy_group_attention(q, k, v, ids, counts, n_groups) -> Tensor:
+def _legacy_group_attention(q, k, v, segments, counts) -> Tensor:
     d_k = q.shape[-1]
     counts = counts.astype(np.float64)
-    key_sums = ops.batched_segment_sum(k, ids, n_groups)
+    key_sums = K.segment_sum(k, segments)
     safe_counts = np.maximum(counts, 1.0)[..., None]
     representatives = key_sums / safe_counts
     scores = (q @ representatives.swapaxes(-1, -2)) * (1.0 / math.sqrt(d_k))
@@ -95,7 +97,7 @@ def _legacy_group_attention(q, k, v, ids, counts, n_groups) -> Tensor:
     weighted = exp_scores * Tensor(counts[:, :, None, :])
     denom = weighted.sum(axis=-1, keepdims=True)
     attn = exp_scores / denom
-    v_agg = ops.batched_segment_sum(v, ids, n_groups)
+    v_agg = K.segment_sum(v, segments)
     return attn @ v_agg
 
 
@@ -103,28 +105,28 @@ def _legacy_group_attention(q, k, v, ids, counts, n_groups) -> Tensor:
 # Path B: the refactored kernel path (fused group softmax, fused segment
 # sum) — what GroupAttention.forward now executes.
 # ----------------------------------------------------------------------
-def _fused_group_attention(q, k, v, ids, counts, n_groups) -> Tensor:
+def _fused_group_attention(q, k, v, segments, counts) -> Tensor:
     d_k = q.shape[-1]
     counts = counts.astype(k.data.dtype)
-    key_sums = K.segment_sum(k, ids, n_groups)
+    key_sums = K.segment_sum(k, segments)
     safe_counts = np.maximum(counts, 1.0)[..., None]
     representatives = key_sums / safe_counts
     scores = (q @ representatives.swapaxes(-1, -2)) * (1.0 / math.sqrt(d_k))
     attn = K.fused_group_softmax(scores, counts)
-    v_agg = K.segment_sum(v, ids, n_groups)
+    v_agg = K.segment_sum(v, segments)
     return attn @ v_agg
 
 
 def bench_group_forward_backward(n: int = 1024, repeats: int = 5) -> dict:
     q64, k64, v64 = _qkv(n, np.float64)
-    ids, counts, n_groups = _grouping(k64, N_GROUPS)
+    segments, counts = _grouping(k64, N_GROUPS)
 
     def run(path, q_arr, k_arr, v_arr, backend):
         q = Tensor(q_arr, requires_grad=True)
         k = Tensor(k_arr, requires_grad=True)
         v = Tensor(v_arr, requires_grad=True)
         with K.use_backend(backend):
-            out = path(q, k, v, ids, counts, n_groups)
+            out = path(q, k, v, segments, counts)
             out.sum().backward()
         return out
 
@@ -151,7 +153,7 @@ def bench_group_forward_backward(n: int = 1024, repeats: int = 5) -> dict:
         "batch": BATCH,
         "heads": HEADS,
         "head_dim": HEAD_DIM,
-        "n_groups": n_groups,
+        "n_groups": counts.shape[-1],
         "baseline_composed_reference_float64_seconds": baseline,
         "fused_float32_seconds": fused,
         "fused_float64_seconds": fused_f64,

@@ -18,7 +18,13 @@ When every key coincides with its group representative this output is
 *identical* to canonical self-attention (Lemma 3 — tested); in general the
 restored attention matrix is within a multiplicative ``eps`` band of the
 true one whenever the clustering radius satisfies ``d <= ln(eps)/(2R)``
-(Lemma 1 — tested).
+(Lemma 1).  The Lemma 1 test checks the band on hand-built representatives
+with unscaled dot products only; it never runs K-means or this mechanism,
+whose scores carry ``1/sqrt(d_k)`` (ROADMAP.md, "Check Lemma 1 through the
+real mechanism").
+
+The key sums and value sums reuse the sorted partition K-means returns
+(:class:`~repro.kernels.Segments`); a cached partition is not sorted again.
 
 Complexity: O(n N d) time and O(n N) memory versus O(n^2 d)/O(n^2) for
 vanilla attention.
@@ -28,7 +34,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -44,59 +50,71 @@ __all__ = ["GroupAttention", "GroupStats", "group_attention_exact_output"]
 
 @dataclass
 class GroupStats:
-    """Grouping diagnostics recorded on every forward pass.
+    """One forward's grouping: the partition it used and how it got it.
 
-    The adaptive scheduler (Sec. 5.1) consumes these to decide how many
-    groups the *next* steps should use.
+    The adaptive scheduler (Sec. 5.1) reads ``centers``, ``radii`` and
+    ``counts`` to decide how many groups the *next* steps should use; the
+    next forward reads the record to reuse its partition or to warm-start
+    K-means from its centers.
 
     Attributes
     ----------
-    n_groups:
-        ``N`` used in this forward pass.
-    centers, radii, counts:
-        Per-``(batch*head)`` clustering outcome (see ``KMeansResult``).
-        When the partition was reused these describe the *cached*
-        clustering, not a fresh one.
+    clustering:
+        The K-means partition this forward used: labels with their sort,
+        centers, counts and radii (``n_groups``, ``centers``, ``radii`` and
+        ``counts`` read through to it).  A cached step points at the
+        partition of the forward that computed it.
+    training:
+        The layer's train/eval mode the partition belongs to.
     key_radius:
         ``R`` of Lemma 1 — the max key-vector norm across the whole input.
     grouping_seconds:
         Wall-clock cost of the grouping step for this forward (K-means on a
         recluster, the drift check on a cache reuse).
-    reclustered:
-        Whether this forward ran K-means (``False`` = cached partition).
     steps_since_recluster:
-        Forward passes served by the current partition, 0 on a recluster.
+        Forward passes served by the current partition, 0 on a recluster
+        (``reclustered`` reads it).
     drift:
         Max key movement since the cached clustering (the Lemma-1 staleness
         proxy).  On a cached step, the movement the guard accepted; on a
         drift-triggered recluster, the movement that forced it; 0.0 when
         there was no cache to compare against.
+    keys, mask:
+        The ``(B*H, n, d_k)`` keys and ``(B*H, n)`` validity mask (None =
+        dense batch) the partition was computed on.  ``keys`` is None
+        unless the partition may be reused (``recluster_every > 1``), so
+        the default cadence does not pin the key tensor.
     """
 
-    n_groups: int
-    centers: np.ndarray
-    radii: np.ndarray
-    counts: np.ndarray
+    clustering: KMeansResult
+    training: bool
     key_radius: float
     grouping_seconds: float = 0.0
-    reclustered: bool = True
     steps_since_recluster: int = 0
     drift: float = 0.0
-
-
-@dataclass
-class _GroupCache:
-    """Cached partition reused between reclusters (amortized grouping)."""
-
-    clustering: KMeansResult
-    keys: np.ndarray  # (B*H, n, d_k) keys the partition was computed on
-    n_groups: int
-    training: bool
-    steps_since: int = 0
-    #: (B*H, n) validity mask the partition was computed under (None =
-    #: dense batch).  A different mask means a different ragged batch, so
-    #: the cached partition does not apply.
+    keys: np.ndarray | None = None
     mask: np.ndarray | None = None
+
+    @property
+    def n_groups(self) -> int:
+        return self.clustering.n_clusters
+
+    @property
+    def centers(self) -> np.ndarray:
+        return self.clustering.centers
+
+    @property
+    def radii(self) -> np.ndarray:
+        return self.clustering.radii
+
+    @property
+    def counts(self) -> np.ndarray:
+        return self.clustering.counts
+
+    @property
+    def reclustered(self) -> bool:
+        """Whether this forward ran K-means (``False`` = cached partition)."""
+        return self.steps_since_recluster == 0
 
 
 class GroupAttention(AttentionMechanism):
@@ -136,7 +154,6 @@ class GroupAttention(AttentionMechanism):
         n_groups: int = 64,
         kmeans_iters: int = 2,
         rng: np.random.Generator | None = None,
-        init: str = "random",
         warm_start: bool = True,
         recluster_every: int = 1,
         drift_tolerance: float = 0.5,
@@ -144,15 +161,12 @@ class GroupAttention(AttentionMechanism):
         super().__init__()
         if n_groups < 1:
             raise ConfigError("n_groups must be >= 1")
-        if init not in {"random", "++"}:
-            raise ConfigError(f"unknown kmeans init {init!r}")
         if recluster_every < 1:
             raise ConfigError("recluster_every must be >= 1")
         if drift_tolerance < 0.0:
             raise ConfigError("drift_tolerance must be >= 0")
         self.n_groups = int(n_groups)
         self.kmeans_iters = int(kmeans_iters)
-        self.init = init
         #: Reuse the previous step's centroids as the next K-means init.
         #: Embeddings drift slowly between steps, so warm starts let a
         #: couple of Lloyd iterations reach a good grouping — the reason
@@ -161,8 +175,8 @@ class GroupAttention(AttentionMechanism):
         self.recluster_every = int(recluster_every)
         self.drift_tolerance = float(drift_tolerance)
         self._rng = get_rng(rng)
-        self._prev_centers: np.ndarray | None = None
-        self._cache: _GroupCache | None = None
+        #: The latest forward's grouping; the next forward reuses its
+        #: partition or warm-starts from its centers.
         self.last_stats: GroupStats | None = None
         #: Cumulative counters (never reset) — the trainer reads per-epoch
         #: deltas so a layer that skips grouping is never double-counted.
@@ -182,9 +196,9 @@ class GroupAttention(AttentionMechanism):
         jittered duplicates when it grew.  A change in ``batch*heads`` or
         ``d_k`` means the cache describes different tensors — bail then.
         """
-        if not self.warm_start or self._prev_centers is None:
+        if not self.warm_start or self.last_stats is None:
             return None
-        prev = self._prev_centers
+        prev = self.last_stats.centers
         if prev.shape[0] != flat_batch or prev.shape[2] != d_k:
             return None
         cached = prev.shape[1]
@@ -201,19 +215,22 @@ class GroupAttention(AttentionMechanism):
         return np.concatenate([prev, pad], axis=1)
 
     def invalidate_group_cache(self) -> None:
-        """Drop the cached partition; the next forward reclusters.
+        """Make the cached partition unusable; the next forward reclusters.
 
-        Called by the adaptive scheduler when it changes ``n_groups`` (warm
-        -start *centers* survive — they are resized, not discarded).
+        Called by the adaptive scheduler when it changes ``n_groups``.  Only
+        the keys the reuse check compares against are dropped: warm-start
+        *centers* survive (they are resized, not discarded).
         """
-        self._cache = None
+        if self.last_stats is not None:
+            self.last_stats.keys = None
 
     def _try_reuse_cache(
         self, keys_flat: np.ndarray, n_groups: int, mask_flat: np.ndarray | None
-    ) -> tuple[_GroupCache | None, float]:
-        """The cached partition if still valid for these keys, plus drift.
+    ) -> tuple[GroupStats | None, float]:
+        """The last forward's grouping if its partition is still valid, plus drift.
 
-        Validity: same ``(B*H, n, d_k)`` geometry and dtype, same ``N``
+        Validity: keys kept (cadence above 1, no invalidation since), same
+        ``(B*H, n, d_k)`` geometry and dtype, same ``N``
         (adaptive-scheduler changes invalidate), same train/eval mode,
         same padding mask (a different ragged batch is different data),
         cadence budget left, and key drift within the Lemma-1 guard.  The
@@ -224,15 +241,15 @@ class GroupAttention(AttentionMechanism):
         they belong to no group, so their movement says nothing about the
         cached partition's quality.
         """
-        cache = self._cache
-        if cache is None or self.recluster_every <= 1:
+        cache = self.last_stats
+        if cache is None or cache.keys is None:
             return None, 0.0
         if (
             cache.keys.shape != keys_flat.shape
             or cache.keys.dtype != keys_flat.dtype
             or cache.n_groups != n_groups
             or cache.training != self.training
-            or cache.steps_since + 1 >= self.recluster_every
+            or cache.steps_since_recluster + 1 >= self.recluster_every
         ):
             return None, 0.0
         if (cache.mask is None) != (mask_flat is None) or (
@@ -245,7 +262,7 @@ class GroupAttention(AttentionMechanism):
             sq_move = sq_move * mask_flat
         per_elem = np.sqrt(sq_move.max(axis=1))
         drift = float(per_elem.max())
-        allowed = self.drift_tolerance * cache.clustering.radii.max(axis=1)
+        allowed = self.drift_tolerance * cache.radii.max(axis=1)
         if (per_elem > allowed).any():
             return None, drift
         return cache, drift
@@ -265,41 +282,52 @@ class GroupAttention(AttentionMechanism):
             ).reshape(batch * heads, n)
         cache, drift = self._try_reuse_cache(keys_flat, n_groups, mask_flat)
         if cache is not None:
-            cache.steps_since += 1
-            steps_since = cache.steps_since
             clustering = cache.clustering
-            reclustered = False
+            kept_keys = cache.keys
+            steps_since = cache.steps_since_recluster + 1
         else:
-            init_centers = self._warm_start_centers(batch * heads, n_groups, d_k)
             clustering = batched_kmeans(
                 keys_flat, n_groups, n_iters=self.kmeans_iters, rng=self._rng,
-                init=self.init, init_centers=init_centers, mask=mask_flat,
+                init_centers=self._warm_start_centers(batch * heads, n_groups, d_k),
+                mask=mask_flat,
             )
-            if self.warm_start:
-                self._prev_centers = clustering.centers
-            if self.recluster_every > 1:
-                self._cache = _GroupCache(
-                    clustering=clustering,
-                    keys=keys_flat,
-                    n_groups=clustering.n_clusters,
-                    training=self.training,
-                    mask=mask_flat,
-                )
-            else:
-                # Never reusable — don't pin the key tensor in memory.
-                self._cache = None
+            # Only a reusable partition needs its keys: don't pin them otherwise.
+            kept_keys = keys_flat if self.recluster_every > 1 else None
             steps_since = 0
-            reclustered = True
         grouping_seconds = time.perf_counter() - t0
         n_groups = clustering.n_clusters
+        if mask is None:
+            key_radius = float(np.linalg.norm(keys_flat, axis=-1).max())
+        else:
+            norms = np.linalg.norm(keys_flat, axis=-1)
+            key_radius = float((norms * mask_flat).max())
+        # Replace the record before the attention math, so the keys the
+        # previous one pinned are freed before the largest temporaries.
+        self.last_stats = GroupStats(
+            clustering=clustering,
+            training=self.training,
+            key_radius=key_radius,
+            grouping_seconds=grouping_seconds,
+            steps_since_recluster=steps_since,
+            drift=drift,
+            keys=kept_keys,
+            mask=mask_flat,
+        )
+        self.grouping_seconds_total += grouping_seconds
+        self.grouping_steps_total += 1
+        if steps_since == 0:
+            self.reclusters_total += 1
 
-        ids = clustering.assignments.reshape(batch, heads, n)
+        # The partition's (B*H, n) labels viewed as (B, H, n): the same rows,
+        # so its one sort serves both segment sums and their backwards.
+        segments = clustering.segments
+        segments = replace(segments, ids=segments.ids.reshape(batch, heads, n))
         counts = clustering.counts.reshape(batch, heads, n_groups).astype(k.data.dtype)
 
         if mask is None:
             # Differentiable group representatives: mean of member keys.
-            key_sums = kernels.segment_sum(k, ids, n_groups)
-            v_agg = kernels.segment_sum(v, ids, n_groups)
+            key_sums = kernels.segment_sum(k, segments)
+            v_agg = kernels.segment_sum(v, segments)
         else:
             # Padded keys carry the sentinel id N (see batched_kmeans): the
             # scatter runs over N + 1 segments and the discard row is
@@ -307,8 +335,8 @@ class GroupAttention(AttentionMechanism):
             # contributions while segment_sum stays a single exact autograd
             # node (the slice is differentiable; discarded gradients are
             # zero for padded rows by construction).
-            key_sums = kernels.segment_sum(k, ids, n_groups + 1)[..., :n_groups, :]
-            v_agg = kernels.segment_sum(v, ids, n_groups + 1)[..., :n_groups, :]
+            key_sums = kernels.segment_sum(k, segments)[..., :n_groups, :]
+            v_agg = kernels.segment_sum(v, segments)[..., :n_groups, :]
         safe_counts = np.maximum(counts, 1.0)[..., None]
         representatives = key_sums / safe_counts  # (B, H, N, d_k)
 
@@ -323,27 +351,6 @@ class GroupAttention(AttentionMechanism):
 
         # Embedding aggregation (Alg. 1 line 3) and output (line 11).
         out = attn @ v_agg
-
-        if mask is None:
-            key_radius = float(np.linalg.norm(keys_flat, axis=-1).max())
-        else:
-            norms = np.linalg.norm(keys_flat, axis=-1)
-            key_radius = float((norms * mask_flat).max())
-        self.last_stats = GroupStats(
-            n_groups=n_groups,
-            centers=clustering.centers,
-            radii=clustering.radii,
-            counts=clustering.counts,
-            key_radius=key_radius,
-            grouping_seconds=grouping_seconds,
-            reclustered=reclustered,
-            steps_since_recluster=steps_since,
-            drift=drift,
-        )
-        self.grouping_seconds_total += grouping_seconds
-        self.grouping_steps_total += 1
-        if reclustered:
-            self.reclusters_total += 1
         return out
 
     def memory_kwargs(self) -> dict:

@@ -20,8 +20,6 @@ from repro.autograd.tensor import (
 )
 from repro.autograd import ops
 from repro.autograd.ops import (
-    batched_gather,
-    batched_segment_sum,
     concat,
     dropout,
     embedding,
@@ -49,8 +47,6 @@ __all__ = [
     "unbroadcast",
     "zeros",
     "ops",
-    "batched_gather",
-    "batched_segment_sum",
     "concat",
     "dropout",
     "embedding",

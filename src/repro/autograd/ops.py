@@ -27,7 +27,7 @@ __all__ = [
     "reshape", "swapaxes", "transpose", "broadcast_to", "concat", "stack",
     "getitem", "where", "masked_fill", "dropout", "astype",
     "softmax", "log_softmax",
-    "embedding", "batched_segment_sum", "batched_gather",
+    "embedding",
 ]
 
 
@@ -600,47 +600,6 @@ def embedding(weight, indices) -> Tensor:
         return (buffer,)
 
     return Tensor._make(out_data, (weight,), backward)
-
-
-def batched_segment_sum(values, segment_ids: np.ndarray, num_segments: int) -> Tensor:
-    """Sum ``values`` rows into segments, independently per batch element.
-
-    Parameters
-    ----------
-    values:
-        Tensor of shape ``(..., n, d)``.
-    segment_ids:
-        Integer array of shape ``(..., n)`` with entries in
-        ``[0, num_segments)``; treated as a constant.
-    num_segments:
-        Number of output segments ``N``.
-
-    Returns
-    -------
-    Tensor of shape ``(..., num_segments, d)`` where output row ``j`` is the
-    sum of input rows assigned to segment ``j``.
-
-    This is the *embedding aggregation* primitive of the paper's Algorithm 1
-    (line 3): aggregating value vectors per group costs O(n d) instead of a
-    dense O(n N d) one-hot matmul.  Dispatches to the active kernel backend
-    (see :mod:`repro.kernels`).
-    """
-    from repro.kernels import functional as kernels
-
-    return kernels.segment_sum(values, segment_ids, num_segments)
-
-
-def batched_gather(values, segment_ids: np.ndarray) -> Tensor:
-    """Gather segment rows back to elements, per batch element.
-
-    Inverse access pattern of :func:`batched_segment_sum`: given ``values``
-    of shape ``(..., N, d)`` and ``segment_ids`` of shape ``(..., n)``,
-    returns ``(..., n, d)`` with row ``i`` equal to ``values[..., ids[i], :]``.
-    Dispatches to the active kernel backend (see :mod:`repro.kernels`).
-    """
-    from repro.kernels import functional as kernels
-
-    return kernels.segment_gather(values, segment_ids)
 
 
 # ----------------------------------------------------------------------

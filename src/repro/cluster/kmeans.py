@@ -14,10 +14,13 @@ is how the real system amortizes the grouping over ``batch x heads``.
 
 The Lloyd inner loop runs on the active :mod:`repro.kernels` backend —
 ``kmeans_assign`` (fused distance+argmin over one ``(B, n, N)`` matrix
-product), ``segment_mean`` (sort+``reduceat`` center update),
-``segment_count`` and ``segment_max`` — so the grouping step shares the
-registry and the reference/fused parity contract with the rest of the
-compute stack.  ``with use_backend("reference")`` oracles the fused path.
+product), ``segment_mean`` (``reduceat`` center update), ``segment_count``
+and ``segment_max`` — so the grouping step shares the registry and the
+reference/fused parity contract with the rest of the compute stack.
+``with use_backend("reference")`` oracles the fused path.  Each labelling
+is sorted once, into a :class:`~repro.kernels.Segments`: one per Lloyd
+iteration, and one for the final labels, which the result carries so that
+group attention's key and value sums reuse that sort.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import ShapeError
-from repro.kernels.backend import get_backend
+from repro.kernels.backend import Segments, get_backend
 from repro.rng import get_rng
 
 __all__ = ["KMeansResult", "batched_kmeans", "pairwise_sq_distances", "kmeans_pp_init"]
@@ -39,11 +42,12 @@ class KMeansResult:
 
     Attributes
     ----------
-    assignments:
-        ``(B, n)`` int array; cluster id of each point.  When the run was
-        masked, invalid (padded) points carry the sentinel id ``N`` — one
-        past the last real cluster — so scatter consumers can route them
-        to a discard segment.
+    segments:
+        The final ``(B, n)`` labelling and its sort.  Unmasked runs label
+        into ``N`` segments; masked runs into ``N + 1``, where invalid
+        (padded) points carry the sentinel id ``N`` — one past the last
+        real cluster — so scatter consumers route them to a discard
+        segment and slice it off.
     centers:
         ``(B, N, d)`` cluster centroids.  Empty clusters keep their previous
         (or initial) center.  Masked runs compute centroids from valid
@@ -57,11 +61,16 @@ class KMeansResult:
         ``(B,)`` sum of squared member-to-center distances.
     """
 
-    assignments: np.ndarray
+    segments: Segments
     centers: np.ndarray
     counts: np.ndarray
     radii: np.ndarray
     inertia: np.ndarray
+
+    @property
+    def assignments(self) -> np.ndarray:
+        """``(B, n)`` cluster id of each point (the sentinel ``N`` when padded)."""
+        return self.segments.ids
 
     @property
     def n_clusters(self) -> int:
@@ -191,8 +200,9 @@ def batched_kmeans(
 
     The inner loop runs entirely on the active kernel backend:
     ``kmeans_assign`` for the fused distance+argmin and ``segment_mean`` /
-    ``segment_count`` / ``segment_max`` for the scatter reductions that
-    used to be ``np.add.at`` / ``np.maximum.at`` scalar loops.
+    ``segment_count`` / ``segment_max`` for the scatter reductions.  Each
+    iteration sorts its labels once; the final labels are sorted once more
+    and that partition serves the counts, the radii and the caller.
     """
     if points.ndim != 3:
         raise ShapeError(f"batched_kmeans expects (B, n, d) points, got {points.shape}")
@@ -245,7 +255,9 @@ def batched_kmeans(
         assignments, _ = backend.kmeans_assign(points, centers, points_sq)
         if mask is not None:
             assignments = np.where(mask, assignments, sentinel)
-        means, counts = backend.segment_mean(points, assignments, n_segments)
+        means, counts = backend.segment_mean(
+            points, Segments.from_ids(assignments, n_segments)
+        )
         means, counts = means[:, :n_clusters], counts[:, :n_clusters]
         centers = np.where((counts > 0)[:, :, None], means, centers)
 
@@ -253,13 +265,13 @@ def batched_kmeans(
     if mask is not None:
         assignments = np.where(mask, assignments, sentinel)
         member_sq = member_sq * mask
-    counts = backend.segment_count(assignments, n_segments)[:, :n_clusters]
-    radii_sq = backend.segment_max(member_sq, assignments, n_segments, initial=0.0)
-    radii_sq = radii_sq[:, :n_clusters]
+    segments = Segments.from_ids(assignments, n_segments)
+    counts = backend.segment_count(segments)[:, :n_clusters]
+    radii_sq = backend.segment_max(member_sq, segments, initial=0.0)[:, :n_clusters]
 
     inertia = member_sq.sum(axis=1)
     return KMeansResult(
-        assignments=assignments,
+        segments=segments,
         centers=centers,
         counts=counts,
         radii=np.sqrt(radii_sq),

@@ -5,11 +5,12 @@ strategy.  Four pieces:
 
 * :mod:`repro.kernels.policy` — the process-global compute dtype
   (``float32`` by default, ``float64`` for gradient checking);
-* :mod:`repro.kernels.backend` — the backend registry plus the NumPy
-  *reference* backend (semantics oracle);
+* :mod:`repro.kernels.backend` — the backend registry, the NumPy
+  *reference* backend (semantics oracle) and :class:`Segments`, the
+  sorted partition every segment kernel takes;
 * :mod:`repro.kernels.fused` — the optimized *fused* backend, the one
   the stack executes on: in-place softmax/layer-norm, single-GEMM
-  affine, sort+``reduceat`` segment sum;
+  affine, ``reduceat`` segment reductions over the partition's sort;
 * :mod:`repro.kernels.functional` — autograd nodes over the active
   backend with hand-written backwards and no-grad fast paths.
 
@@ -37,6 +38,7 @@ from repro.kernels.policy import (
 from repro.kernels.backend import (
     KernelBackend,
     NumpyReferenceBackend,
+    Segments,
     available_backends,
     get_backend,
     register_backend,
@@ -74,6 +76,7 @@ __all__ = [
     "KernelBackend",
     "NumpyReferenceBackend",
     "FusedNumpyBackend",
+    "Segments",
     "available_backends",
     "get_backend",
     "register_backend",

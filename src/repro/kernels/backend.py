@@ -21,6 +21,13 @@ mechanisms and ``nn`` modules call the functional layer, never a backend
 directly.  Swapping the active backend therefore changes the execution
 strategy of the entire model without touching model code.
 
+Every segment kernel takes a :class:`Segments` — a ``(..., n)``
+labelling with its segment count and its stable sort, built and checked
+once by :meth:`Segments.from_ids` — so every reduction over one
+partition (K-means radii and counts, the key and value sums of group
+attention, and their backwards) shares a single sort.  The reference
+kernels read only the labels; the fused ones reduce the sorted runs.
+
 Two backends ship: this module's straightforward NumPy *reference*
 backend (the semantics oracle the tests gradcheck against) and the
 optimized *fused* backend in :mod:`repro.kernels.fused`, which every
@@ -31,7 +38,9 @@ block (the parity tests do).
 from __future__ import annotations
 
 import contextlib
+import math
 import threading
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,6 +49,7 @@ from repro.errors import ConfigError, ShapeError
 __all__ = [
     "KernelBackend",
     "NumpyReferenceBackend",
+    "Segments",
     "register_backend",
     "available_backends",
     "get_backend",
@@ -53,11 +63,66 @@ def _leading_axes(array: np.ndarray) -> tuple[int, ...]:
     return tuple(range(array.ndim - 1))
 
 
-def _flatten_batch(values: np.ndarray) -> tuple[np.ndarray, tuple[int, ...], int]:
-    """View ``(..., n, d)`` as ``(batch, n, d)``; returns (view, batch_shape, batch)."""
-    batch_shape = values.shape[:-2]
-    batch = int(np.prod(batch_shape)) if batch_shape else 1
-    return values.reshape(batch, values.shape[-2], values.shape[-1]), batch_shape, batch
+def _slots(ids: np.ndarray, num_segments: int) -> np.ndarray:
+    """Flat slot ``row * num_segments + label`` of every ``(..., n)`` label."""
+    rows = math.prod(ids.shape[:-1])
+    offsets = np.arange(rows, dtype=np.int64)[:, None] * num_segments
+    return (ids.reshape(rows, ids.shape[-1]) + offsets).reshape(-1)
+
+
+@dataclass(frozen=True, eq=False)
+class Segments:
+    """A ``(..., n)`` labelling into ``num_segments`` segments per row, sorted once.
+
+    Each leading index is a row with its own ``num_segments`` segments
+    (one ``(batch, head)`` element of group attention), so row ``r``'s
+    label ``s`` owns flat slot ``r * num_segments + s``.  ``order`` is the
+    stable argsort of those slots (each run keeps its rows in input
+    order), ``run_starts`` marks where each non-empty segment's run
+    begins in ``order``, and ``run_segments`` is that run's slot.  Build
+    one with :meth:`from_ids`; the same rows under another batch shape
+    are ``dataclasses.replace(segments, ids=segments.ids.reshape(...))``.
+    """
+
+    ids: np.ndarray
+    num_segments: int
+    order: np.ndarray
+    run_starts: np.ndarray
+    run_segments: np.ndarray
+
+    @classmethod
+    def from_ids(cls, ids, num_segments: int) -> Segments:
+        """Check that every label lies in ``[0, num_segments)``, then sort."""
+        ids = np.asarray(ids, dtype=np.int64)
+        num_segments = int(num_segments)
+        if ids.ndim == 0:
+            raise ShapeError("segment ids need at least one axis")
+        if ids.size and (ids.min() < 0 or ids.max() >= num_segments):
+            raise ShapeError(
+                f"segment ids must lie in [0, {num_segments}), "
+                f"got [{ids.min()}, {ids.max()}]"
+            )
+        slots = _slots(ids, num_segments)
+        order = np.argsort(slots, kind="stable")
+        sorted_slots = slots[order]
+        starts = np.empty(sorted_slots.size, dtype=bool)
+        starts[:1] = True
+        np.not_equal(sorted_slots[1:], sorted_slots[:-1], out=starts[1:])
+        run_starts = np.flatnonzero(starts)
+        return cls(ids, num_segments, order, run_starts, sorted_slots[run_starts])
+
+    @property
+    def size(self) -> int:
+        """Number of slots: rows times ``num_segments``."""
+        return math.prod(self.ids.shape[:-1]) * self.num_segments
+
+    def slots(self) -> np.ndarray:
+        """``(rows * n,)`` flat slot of every label."""
+        return _slots(self.ids, self.num_segments)
+
+    def unflatten(self, flat: np.ndarray) -> np.ndarray:
+        """View a ``(size, ...)`` per-slot array as ``(..., num_segments, ...)``."""
+        return flat.reshape(*self.ids.shape[:-1], self.num_segments, *flat.shape[1:])
 
 
 class KernelBackend:
@@ -116,23 +181,21 @@ class KernelBackend:
         raise NotImplementedError
 
     # -- segment scatter/gather -----------------------------------------
-    def segment_sum(
-        self, values: np.ndarray, segment_ids: np.ndarray, num_segments: int
-    ) -> np.ndarray:
+    def segment_sum(self, values: np.ndarray, segments: Segments) -> np.ndarray:
         """Sum ``(..., n, d)`` rows into ``(..., N, d)`` segments."""
         raise NotImplementedError
 
-    def segment_gather(self, values: np.ndarray, segment_ids: np.ndarray) -> np.ndarray:
+    def segment_gather(self, values: np.ndarray, segments: Segments) -> np.ndarray:
         """Gather ``(..., N, d)`` rows back to ``(..., n, d)`` elements."""
         raise NotImplementedError
 
     # -- k-means grouping primitives (non-differentiable) -----------------
-    def segment_count(self, segment_ids: np.ndarray, num_segments: int) -> np.ndarray:
-        """Member count per segment: ``(..., n)`` int ids -> ``(..., N)`` int64."""
+    def segment_count(self, segments: Segments) -> np.ndarray:
+        """Member count per segment: ``(..., N)`` int64."""
         raise NotImplementedError
 
     def segment_mean(
-        self, values: np.ndarray, segment_ids: np.ndarray, num_segments: int
+        self, values: np.ndarray, segments: Segments
     ) -> tuple[np.ndarray, np.ndarray]:
         """Per-segment mean of ``(..., n, d)`` rows.
 
@@ -142,11 +205,7 @@ class KernelBackend:
         raise NotImplementedError
 
     def segment_max(
-        self,
-        values: np.ndarray,
-        segment_ids: np.ndarray,
-        num_segments: int,
-        initial: float = 0.0,
+        self, values: np.ndarray, segments: Segments, initial: float = 0.0
     ) -> np.ndarray:
         """Per-segment max of scalar ``(..., n)`` values -> ``(..., N)``.
 
@@ -274,63 +333,40 @@ class NumpyReferenceBackend(KernelBackend):
         return attn * (grad - counts[..., None, :] * dot)
 
     # -- segment scatter/gather -----------------------------------------
-    def segment_sum(
-        self, values: np.ndarray, segment_ids: np.ndarray, num_segments: int
-    ) -> np.ndarray:
-        flat, batch_shape, batch = _flatten_batch(values)
-        n, d = flat.shape[-2:]
-        ids = segment_ids.reshape(batch, n)
-        out = np.zeros((batch * num_segments, d), dtype=values.dtype)
-        offsets = np.arange(batch, dtype=np.int64)[:, None] * num_segments
+    def segment_sum(self, values: np.ndarray, segments: Segments) -> np.ndarray:
+        d = values.shape[-1]
+        out = np.zeros((segments.size, d), dtype=values.dtype)
         # repro: allow[scatter-at] - the reference backend is the semantics oracle
-        np.add.at(out, (ids + offsets).reshape(-1), flat.reshape(-1, d))
-        return out.reshape(*batch_shape, num_segments, d)
+        np.add.at(out, segments.slots(), values.reshape(-1, d))
+        return segments.unflatten(out)
 
-    def segment_gather(self, values: np.ndarray, segment_ids: np.ndarray) -> np.ndarray:
-        flat, batch_shape, batch = _flatten_batch(values)
-        num_segments, d = flat.shape[-2:]
-        n = segment_ids.shape[-1]
-        ids = segment_ids.reshape(batch, n)
-        offsets = np.arange(batch, dtype=np.int64)[:, None] * num_segments
-        flat_index = (ids + offsets).reshape(-1)
-        return flat.reshape(-1, d)[flat_index].reshape(*batch_shape, n, d)
+    def segment_gather(self, values: np.ndarray, segments: Segments) -> np.ndarray:
+        d = values.shape[-1]
+        out = values.reshape(-1, d)[segments.slots()]
+        return out.reshape(*segments.ids.shape, d)
 
     # -- k-means grouping primitives --------------------------------------
-    def segment_count(self, segment_ids: np.ndarray, num_segments: int) -> np.ndarray:
-        batch_shape = segment_ids.shape[:-1]
-        batch = int(np.prod(batch_shape)) if batch_shape else 1
-        n = segment_ids.shape[-1]
-        ids = segment_ids.reshape(batch, n)
-        offsets = np.arange(batch, dtype=np.int64)[:, None] * num_segments
-        counts = np.zeros(batch * num_segments, dtype=np.int64)
+    def segment_count(self, segments: Segments) -> np.ndarray:
+        counts = np.zeros(segments.size, dtype=np.int64)
         # repro: allow[scatter-at] - the reference backend is the semantics oracle
-        np.add.at(counts, (ids + offsets).reshape(-1), 1)
-        return counts.reshape(*batch_shape, num_segments)
+        np.add.at(counts, segments.slots(), 1)
+        return segments.unflatten(counts)
 
     def segment_mean(
-        self, values: np.ndarray, segment_ids: np.ndarray, num_segments: int
+        self, values: np.ndarray, segments: Segments
     ) -> tuple[np.ndarray, np.ndarray]:
-        sums = self.segment_sum(values, segment_ids, num_segments)
-        counts = self.segment_count(segment_ids, num_segments)
+        sums = self.segment_sum(values, segments)
+        counts = self.segment_count(segments)
         safe = np.maximum(counts, 1).astype(values.dtype)
         return sums / safe[..., None], counts
 
     def segment_max(
-        self,
-        values: np.ndarray,
-        segment_ids: np.ndarray,
-        num_segments: int,
-        initial: float = 0.0,
+        self, values: np.ndarray, segments: Segments, initial: float = 0.0
     ) -> np.ndarray:
-        batch_shape = segment_ids.shape[:-1]
-        batch = int(np.prod(batch_shape)) if batch_shape else 1
-        n = segment_ids.shape[-1]
-        ids = segment_ids.reshape(batch, n)
-        offsets = np.arange(batch, dtype=np.int64)[:, None] * num_segments
-        out = np.full(batch * num_segments, initial, dtype=values.dtype)
+        out = np.full(segments.size, initial, dtype=values.dtype)
         # repro: allow[scatter-at] - the reference backend is the semantics oracle
-        np.maximum.at(out, (ids + offsets).reshape(-1), values.reshape(-1))
-        return out.reshape(*batch_shape, num_segments)
+        np.maximum.at(out, segments.slots(), values.reshape(-1))
+        return segments.unflatten(out)
 
     def kmeans_assign(
         self,
@@ -484,13 +520,19 @@ def use_backend(name: str):
         set_backend(previous)
 
 
-def _check_segment_shapes(values_shape, ids_shape, gather: bool) -> None:
+def _check_segment_shapes(values_shape, segments: Segments, gather: bool) -> None:
     """Shared validation for the functional layer's segment ops."""
+    ids_shape = segments.ids.shape
     if gather:
         if ids_shape[:-1] != values_shape[:-2]:
             raise ShapeError(
                 f"segment_ids batch shape {ids_shape[:-1]} must match "
                 f"values batch shape {values_shape[:-2]}"
+            )
+        if values_shape[-2] != segments.num_segments:
+            raise ShapeError(
+                f"values hold {values_shape[-2]} segment rows, "
+                f"the partition has {segments.num_segments}"
             )
     elif ids_shape != values_shape[:-1]:
         raise ShapeError(

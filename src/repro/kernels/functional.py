@@ -22,7 +22,7 @@ from scipy import special as _special
 
 from repro.autograd.tensor import Tensor, as_tensor, is_grad_enabled, unbroadcast
 from repro.errors import ShapeError
-from repro.kernels.backend import _check_segment_shapes, get_backend
+from repro.kernels.backend import Segments, _check_segment_shapes, get_backend
 from repro.kernels.policy import ACCUM_DTYPE
 
 __all__ = [
@@ -164,39 +164,36 @@ def fused_group_softmax(scores, counts, query_mask=None) -> Tensor:
 # ----------------------------------------------------------------------
 # Segment scatter/gather (embedding aggregation, Alg. 1 line 3)
 # ----------------------------------------------------------------------
-def segment_sum(values, segment_ids, num_segments: int) -> Tensor:
-    """Sum ``(..., n, d)`` rows into ``(..., N, d)`` segments.
+def segment_sum(values, segments: Segments) -> Tensor:
+    """Sum ``(..., n, d)`` rows into the ``(..., N, d)`` segments of ``segments``.
 
-    ``segment_ids`` is an integer array (constant).  The backward is the
-    adjoint :func:`segment_gather` of the incoming gradient.
+    The partition is a constant.  The backward is the adjoint
+    :func:`segment_gather` of the incoming gradient over the same partition.
     """
     values = as_tensor(values)
-    ids = np.asarray(_constant(segment_ids), dtype=np.int64)
-    _check_segment_shapes(values.shape, ids.shape, gather=False)
+    _check_segment_shapes(values.shape, segments, gather=False)
     backend = get_backend()
-    out_data = backend.segment_sum(values.data, ids, int(num_segments))
+    out_data = backend.segment_sum(values.data, segments)
     if not _recording(values):
         return Tensor(out_data)
 
     def backward(grad):
-        return (backend.segment_gather(grad, ids),)
+        return (backend.segment_gather(grad, segments),)
 
     return Tensor._make(out_data, (values,), backward)
 
 
-def segment_gather(values, segment_ids) -> Tensor:
+def segment_gather(values, segments: Segments) -> Tensor:
     """Gather ``(..., N, d)`` segment rows back to ``(..., n, d)`` elements."""
     values = as_tensor(values)
-    ids = np.asarray(_constant(segment_ids), dtype=np.int64)
-    _check_segment_shapes(values.shape, ids.shape, gather=True)
+    _check_segment_shapes(values.shape, segments, gather=True)
     backend = get_backend()
-    num_segments = values.shape[-2]
-    out_data = backend.segment_gather(values.data, ids)
+    out_data = backend.segment_gather(values.data, segments)
     if not _recording(values):
         return Tensor(out_data)
 
     def backward(grad):
-        return (backend.segment_sum(grad, ids, num_segments).reshape(values.shape),)
+        return (backend.segment_sum(grad, segments),)
 
     return Tensor._make(out_data, (values,), backward)
 

@@ -8,10 +8,13 @@ Same semantics as :class:`~repro.kernels.backend.NumpyReferenceBackend`
 * **single-GEMM affine** — ``linear`` flattens leading dimensions so a
   batched ``(B, n, d)`` input runs one large matrix product instead of a
   loop of small ones;
-* **sort + ``reduceat`` segment sum** — the embedding-aggregation kernel
-  of Algorithm 1 avoids ``np.add.at`` (whose fancy-index buffering
-  dominates the reference backend's runtime) by sorting row indices once
-  and reducing contiguous runs.
+* **``reduceat`` over sorted runs** — the segment reductions (the
+  embedding aggregation of Algorithm 1, K-means center updates and
+  radii) avoid ``np.add.at`` (whose fancy-index buffering dominates the
+  reference backend's runtime) by reducing the contiguous runs of the
+  :class:`~repro.kernels.backend.Segments` they are handed.  The sort
+  lives in that partition, built once per labelling, so no kernel here
+  sorts.
 
 The backend keeps no state between calls: every array a kernel touches
 is either an argument or allocated by that call, so concurrent callers
@@ -22,11 +25,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.kernels.backend import (
-    NumpyReferenceBackend,
-    _flatten_batch,
-    _leading_axes,
-)
+from repro.kernels.backend import NumpyReferenceBackend, Segments, _leading_axes
 
 __all__ = ["FusedNumpyBackend"]
 
@@ -35,30 +34,6 @@ class FusedNumpyBackend(NumpyReferenceBackend):
     """Fused kernels; the backend every process starts on."""
 
     name = "fused"
-
-    @staticmethod
-    def _offsets(batch: int, num_segments: int) -> np.ndarray:
-        """``(batch, 1)`` row offsets used to flatten batched ids."""
-        return np.arange(batch, dtype=np.int64)[:, None] * num_segments
-
-    def _runs(
-        self, segment_ids: np.ndarray, batch: int, num_segments: int
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Stable-sort the flattened ids into one run per non-empty segment.
-
-        Returns ``(order, run_starts, run_segments)``: ``order`` gathers
-        the rows segment by segment (stable, so each run keeps its rows in
-        input order), ``run_starts`` marks where each run begins in that
-        order, and ``run_segments`` is each run's flat output row.
-        """
-        ids = segment_ids.reshape(batch, segment_ids.shape[-1])
-        flat_index = (ids + self._offsets(batch, num_segments)).reshape(-1)
-        order = np.argsort(flat_index, kind="stable")
-        sorted_ids = flat_index[order]
-        run_starts = np.flatnonzero(
-            np.concatenate(([True], sorted_ids[1:] != sorted_ids[:-1]))
-        )
-        return order, run_starts, sorted_ids[run_starts]
 
     # -- softmax family ---------------------------------------------------
     def softmax(self, x: np.ndarray, axis: int) -> np.ndarray:
@@ -124,51 +99,32 @@ class FusedNumpyBackend(NumpyReferenceBackend):
         return result
 
     # -- segment scatter/gather -------------------------------------------
-    def segment_sum(
-        self, values: np.ndarray, segment_ids: np.ndarray, num_segments: int
-    ) -> np.ndarray:
-        flat, batch_shape, batch = _flatten_batch(values)
-        d = flat.shape[-1]
-        order, run_starts, run_segments = self._runs(segment_ids, batch, num_segments)
-        staged = np.take(flat.reshape(-1, d), order, axis=0)
-        out = np.zeros((batch * num_segments, d), dtype=values.dtype)
-        out[run_segments] = np.add.reduceat(staged, run_starts, axis=0)
-        return out.reshape(*batch_shape, num_segments, d)
+    def segment_sum(self, values: np.ndarray, segments: Segments) -> np.ndarray:
+        d = values.shape[-1]
+        staged = np.take(values.reshape(-1, d), segments.order, axis=0)
+        out = np.zeros((segments.size, d), dtype=values.dtype)
+        out[segments.run_segments] = np.add.reduceat(staged, segments.run_starts, axis=0)
+        return segments.unflatten(out)
 
-    def segment_gather(self, values: np.ndarray, segment_ids: np.ndarray) -> np.ndarray:
-        flat, batch_shape, batch = _flatten_batch(values)
-        num_segments, d = flat.shape[-2:]
-        n = segment_ids.shape[-1]
-        ids = segment_ids.reshape(batch, n)
-        flat_index = (ids + self._offsets(batch, num_segments)).reshape(-1)
-        out = np.take(flat.reshape(-1, d), flat_index, axis=0)
-        return out.reshape(*batch_shape, n, d)
+    def segment_gather(self, values: np.ndarray, segments: Segments) -> np.ndarray:
+        d = values.shape[-1]
+        out = np.take(values.reshape(-1, d), segments.slots(), axis=0)
+        return out.reshape(*segments.ids.shape, d)
 
     # -- k-means grouping primitives --------------------------------------
-    def segment_count(self, segment_ids: np.ndarray, num_segments: int) -> np.ndarray:
-        batch_shape = segment_ids.shape[:-1]
-        batch = int(np.prod(batch_shape)) if batch_shape else 1
-        n = segment_ids.shape[-1]
-        ids = segment_ids.reshape(batch, n)
-        flat_index = (ids + self._offsets(batch, num_segments)).reshape(-1)
-        counts = np.bincount(flat_index, minlength=batch * num_segments)
-        return counts.astype(np.int64, copy=False).reshape(*batch_shape, num_segments)
+    def segment_count(self, segments: Segments) -> np.ndarray:
+        counts = np.zeros(segments.size, dtype=np.int64)
+        counts[segments.run_segments] = np.diff(segments.run_starts, append=segments.order.size)
+        return segments.unflatten(counts)
 
     def segment_max(
-        self,
-        values: np.ndarray,
-        segment_ids: np.ndarray,
-        num_segments: int,
-        initial: float = 0.0,
+        self, values: np.ndarray, segments: Segments, initial: float = 0.0
     ) -> np.ndarray:
-        batch_shape = segment_ids.shape[:-1]
-        batch = int(np.prod(batch_shape)) if batch_shape else 1
-        order, run_starts, run_segments = self._runs(segment_ids, batch, num_segments)
-        staged = np.take(values.reshape(-1), order)
-        maxes = np.maximum.reduceat(staged, run_starts)
-        out = np.full(batch * num_segments, initial, dtype=values.dtype)
-        out[run_segments] = np.maximum(maxes, initial)
-        return out.reshape(*batch_shape, num_segments)
+        staged = np.take(values.reshape(-1), segments.order)
+        maxes = np.maximum.reduceat(staged, segments.run_starts)
+        out = np.full(segments.size, initial, dtype=values.dtype)
+        out[segments.run_segments] = np.maximum(maxes, initial)
+        return segments.unflatten(out)
 
     def kmeans_assign(
         self,

@@ -1,23 +1,28 @@
 """Group attention: exactness (Lemma 3), error bound (Lemma 1), Alg. 1 semantics."""
 
+import functools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from repro.attention import GroupAttention, VanillaAttention, group_attention_exact_output
+from repro.attention import group as group_module
 from repro.autograd import Tensor, gradcheck
+from repro.cluster import batched_kmeans
 from repro.errors import ConfigError
 
 
 def run_group(q, k, v, n_groups, iters=10, seed=0):
     # k-means++ seeding guarantees the perfect grouping when keys are
     # exact duplicates, which Lemma 3's precondition requires.
-    ga = GroupAttention(
-        n_groups=n_groups, kmeans_iters=iters, rng=np.random.default_rng(seed), init="++"
-    )
-    return ga, ga(Tensor(q[None, None]), Tensor(k[None, None]), Tensor(v[None, None])).data[0, 0]
+    ga = GroupAttention(n_groups=n_groups, kmeans_iters=iters, rng=np.random.default_rng(seed))
+    seeded = functools.partial(batched_kmeans, init="++")
+    with mock.patch.object(group_module, "batched_kmeans", seeded):
+        out = ga(Tensor(q[None, None]), Tensor(k[None, None]), Tensor(v[None, None]))
+    return ga, out.data[0, 0]
 
 
 class TestLemma3Exactness:

@@ -1,10 +1,15 @@
 """Property-based tests on attention mechanisms (hypothesis)."""
 
+import functools
+from unittest import mock
+
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from repro.attention import GroupAttention, VanillaAttention
+from repro.attention import group as group_module
 from repro.autograd import Tensor
+from repro.cluster import batched_kmeans
 
 
 def random_qkv(seed, n, d):
@@ -61,9 +66,11 @@ class TestGroupProperties:
         perm = np.random.default_rng(seed + 1).permutation(n)
 
         def run(kk, vv):
-            att = GroupAttention(n_groups=3, kmeans_iters=25, init="++",
+            att = GroupAttention(n_groups=3, kmeans_iters=25,
                                  rng=np.random.default_rng(42), warm_start=False)
-            return att(Tensor(q), Tensor(kk), Tensor(vv)).data
+            seeded = functools.partial(batched_kmeans, init="++")
+            with mock.patch.object(group_module, "batched_kmeans", seeded):
+                return att(Tensor(q), Tensor(kk), Tensor(vv)).data
 
         base = run(k, v)
         permuted = run(k[:, :, perm], v[:, :, perm])
@@ -96,10 +103,10 @@ class TestGroupProperties:
         att = GroupAttention(n_groups=4, kmeans_iters=30, rng=rng, warm_start=True)
         q, k, v = (Tensor(rng.standard_normal((2, 2, 12, 4))) for _ in range(3))
         att(q, k, v)
-        converged = att._prev_centers.copy()
+        converged = att.last_stats.centers.copy()
         att.kmeans_iters = 1
         att(q, k, v)
-        np.testing.assert_allclose(att._prev_centers, converged, atol=1e-9)
+        np.testing.assert_allclose(att.last_stats.centers, converged, atol=1e-9)
 
     def test_warm_start_reset_on_shape_change(self, rng):
         att = GroupAttention(n_groups=4, kmeans_iters=2, rng=rng, warm_start=True)
@@ -107,10 +114,18 @@ class TestGroupProperties:
         att(q12, q12, q12)
         att.n_groups = 3  # scheduler shrank N -> stale centers unusable
         att(q12, q12, q12)
-        assert att._prev_centers.shape == (1, 3, 4)
+        assert att.last_stats.centers.shape == (1, 3, 4)
 
     def test_warm_start_disabled_keeps_none(self, rng):
         att = GroupAttention(n_groups=4, rng=rng, warm_start=False)
         q = Tensor(rng.standard_normal((1, 1, 10, 4)))
-        att(q, q, q)
-        assert att._prev_centers is None
+        init_centers = []
+
+        def spy(points, n_clusters, **kwargs):
+            init_centers.append(kwargs.get("init_centers"))
+            return batched_kmeans(points, n_clusters, **kwargs)
+
+        with mock.patch.object(group_module, "batched_kmeans", spy):
+            att(q, q, q)
+            att(q, q, q)
+        assert init_centers == [None, None]

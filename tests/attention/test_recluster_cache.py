@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import repro.kernels as K
 from repro.attention import group as group_module
 from repro.attention.group import GroupAttention, group_attention_exact_output
 from repro.autograd.tensor import Tensor
@@ -36,6 +37,44 @@ def _count_kmeans_calls(monkeypatch):
 
     monkeypatch.setattr(group_module, "batched_kmeans", spy)
     return calls
+
+
+def _count_sorts(monkeypatch):
+    """Count label sorts: building a ``Segments`` is the only place one happens."""
+    calls = []
+    build = K.Segments.from_ids.__func__
+
+    def counting(cls, ids, num_segments):
+        calls.append(num_segments)
+        return build(cls, ids, num_segments)
+
+    monkeypatch.setattr(K.Segments, "from_ids", classmethod(counting))
+    return calls
+
+
+class TestOneSortPerLabelling:
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    @pytest.mark.parametrize("masked", [False, True], ids=["dense", "masked"])
+    def test_sorts_per_forward(self, rng, monkeypatch, dtype, masked):
+        """K-means sorts each labelling once (one per Lloyd iteration, one
+        for the final labels); both segment sums and their backwards reuse
+        the final sort, and a forward on the cached partition sorts nothing."""
+        sorts = _count_sorts(monkeypatch)
+        mech = GroupAttention(n_groups=6, rng=np.random.default_rng(0), recluster_every=3)
+        data = rng.standard_normal((2, 2, 24, 4)).astype(dtype)
+        mask = None
+        if masked:
+            mask = np.ones((2, 24), dtype=bool)
+            mask[1, 17:] = False
+        per_forward = []
+        with K.dtype_scope(dtype):
+            for _ in range(4):
+                q, k, v = (Tensor(data, requires_grad=True) for _ in range(3))
+                sorts.clear()
+                mech(q, k, v, mask=mask).sum().backward()
+                per_forward.append((mech.last_stats.reclustered, len(sorts)))
+        fresh = mech.kmeans_iters + 1
+        assert per_forward == [(True, fresh), (False, 0), (False, 0), (True, fresh)]
 
 
 class TestReclusterCadence:
@@ -73,7 +112,7 @@ class TestReclusterCadence:
             n_groups=4, rng=np.random.default_rng(0), recluster_every=4
         )
         mech(q, k, v)
-        ids = mech._cache.clustering.assignments.reshape(16)
+        ids = mech.last_stats.clustering.assignments.reshape(16)
         # Drift the keys slightly; the partition stays, the math is exact.
         k2 = Tensor(data + 1e-4 * rng.standard_normal(data.shape))
         out = mech(q, k2, v)
@@ -109,7 +148,7 @@ class TestReclusterCadence:
         """recluster_every=1 (default) must not pin key tensors in memory."""
         mech = GroupAttention(n_groups=6, rng=np.random.default_rng(0))
         mech(*qkv)
-        assert mech._cache is None
+        assert mech.last_stats.keys is None
 
     def test_rita_config_plumbs_cadence_to_layers(self, rng):
         from repro.model import RitaConfig, RitaModel
@@ -169,7 +208,7 @@ class TestDriftGuard:
         )
         k = Tensor(data)
         mech(k, k, k)
-        radii = mech._cache.clustering.radii
+        radii = mech.last_stats.radii
         assert radii[0].max() > 10 * radii[1].max()  # geometry as intended
         moved = data.copy()
         moved[:, 1] += 1.0  # tiny vs head 0's radii, huge vs head 1's
@@ -206,7 +245,7 @@ class TestCacheInvalidation:
             n_groups=8, rng=np.random.default_rng(0), recluster_every=10
         )
         mech(*qkv)
-        assert mech._cache is not None
+        assert mech.last_stats.keys is not None
         scheduler = AdaptiveScheduler([mech])
         # Force a merge-everything verdict so N must shrink this step.
         monkeypatch.setattr(
@@ -215,7 +254,13 @@ class TestCacheInvalidation:
         )
         scheduler.step()
         assert mech.n_groups < 8
-        assert mech._cache is None
+        assert mech.last_stats.keys is None
+        # Undo the shrink: the same keys at the same N would be a cache hit,
+        # so only the invalidation can make this forward recluster.
+        mech.n_groups = 8
+        mech(*qkv)
+        assert mech.last_stats.reclustered is True
+        assert mech.reclusters_total == 2
 
     def test_train_eval_transition_invalidates(self, rng, qkv, monkeypatch):
         calls = _count_kmeans_calls(monkeypatch)

@@ -41,7 +41,7 @@ class TestWarmStartAcrossGroupChanges:
         monkeypatch.setattr(group_module, "batched_kmeans", spy)
         mech = GroupAttention(n_groups=8, rng=np.random.default_rng(0))
         mech(*qkv)
-        cached = mech._prev_centers.copy()
+        cached = mech.last_stats.centers.copy()
         mech.n_groups = 5  # what the adaptive scheduler does
         mech(*qkv)
         assert captured[0] is None  # first forward: cold start
@@ -56,7 +56,7 @@ class TestWarmStartAcrossGroupChanges:
         monkeypatch.setattr(group_module, "batched_kmeans", spy)
         mech = GroupAttention(n_groups=4, rng=np.random.default_rng(0))
         mech(*qkv)
-        cached = mech._prev_centers.copy()
+        cached = mech.last_stats.centers.copy()
         mech.n_groups = 6
         mech(*qkv)
         init = captured[1]
@@ -71,7 +71,7 @@ class TestWarmStartAcrossGroupChanges:
         monkeypatch.setattr(group_module, "batched_kmeans", spy)
         mech = GroupAttention(n_groups=6, rng=np.random.default_rng(0))
         mech(*qkv)
-        cached = mech._prev_centers
+        cached = mech.last_stats.centers
         mech(*qkv)
         assert captured[1] is cached
 
@@ -84,10 +84,13 @@ class TestWarmStartAcrossGroupChanges:
         mech(other, other, other)
         assert captured[1] is None
 
-    def test_warm_start_disabled_never_caches(self, rng, qkv):
+    def test_warm_start_disabled_never_caches(self, rng, qkv, monkeypatch):
+        captured, spy = _captured_init_centers(monkeypatch)
+        monkeypatch.setattr(group_module, "batched_kmeans", spy)
         mech = GroupAttention(n_groups=6, rng=np.random.default_rng(0), warm_start=False)
         mech(*qkv)
-        assert mech._prev_centers is None
+        mech(*qkv)
+        assert captured == [None, None]
 
     def test_dtype_change_still_warm_starts(self, rng, qkv, monkeypatch):
         """float64 cache + float32 keys: centers are recast, not discarded."""
@@ -96,13 +99,13 @@ class TestWarmStartAcrossGroupChanges:
         mech = GroupAttention(n_groups=6, rng=np.random.default_rng(0))
         q, k, v = qkv
         mech(q, k, v)
-        cached = mech._prev_centers
+        cached = mech.last_stats.centers
         assert cached.dtype == np.float64
         low = Tensor(k.data.astype(np.float32))
         out = mech(low, low, low)
         assert captured[1] is cached  # cache handed through; kmeans recasts
         assert out.dtype == np.float32
-        assert mech._prev_centers.dtype == np.float32
+        assert mech.last_stats.centers.dtype == np.float32
         assert np.isfinite(out.data).all()
 
     def test_shrink_then_grow_roundtrip_keeps_cache_alive(self, rng, qkv, monkeypatch):

@@ -107,12 +107,12 @@ class TestSegmentSumAlgebra:
     @given(seed=st.integers(0, 10_000), n=st.integers(3, 12))
     def test_total_mass_preserved(self, seed, n):
         """Segment sums conserve the total sum regardless of grouping."""
-        from repro.autograd.ops import batched_segment_sum
+        from repro.kernels import Segments, segment_sum
 
         rng = np.random.default_rng(seed)
         v = rng.standard_normal((1, n, 3))
         ids = rng.integers(0, 4, (1, n))
-        grouped = batched_segment_sum(Tensor(v), ids, 4).data
+        grouped = segment_sum(Tensor(v), Segments.from_ids(ids, 4)).data
         np.testing.assert_allclose(grouped.sum(axis=1), v.sum(axis=1), atol=1e-10)
 
     @settings(max_examples=15, deadline=None)
@@ -120,7 +120,7 @@ class TestSegmentSumAlgebra:
     def test_refining_groups_then_summing_is_identity(self, seed):
         """Summing a finer grouping into a coarser one equals grouping
         coarsely in one step."""
-        from repro.autograd.ops import batched_segment_sum
+        from repro.kernels import Segments, segment_sum
 
         rng = np.random.default_rng(seed)
         n = 12
@@ -129,9 +129,11 @@ class TestSegmentSumAlgebra:
         coarse_of_fine = rng.integers(0, 3, 6)  # map each fine group to coarse
         coarse = coarse_of_fine[fine]
 
-        direct = batched_segment_sum(Tensor(v), coarse, 3).data
-        fine_sums = batched_segment_sum(Tensor(v), fine, 6).data
-        two_step = batched_segment_sum(Tensor(fine_sums), coarse_of_fine[None, :], 3).data
+        direct = segment_sum(Tensor(v), Segments.from_ids(coarse, 3)).data
+        fine_sums = segment_sum(Tensor(v), Segments.from_ids(fine, 6)).data
+        two_step = segment_sum(
+            Tensor(fine_sums), Segments.from_ids(coarse_of_fine[None, :], 3)
+        ).data
         np.testing.assert_allclose(direct, two_step, atol=1e-10)
 
 

@@ -151,11 +151,14 @@ UNARY = {
         lambda x: x * (np.random.default_rng(0).random(x.shape) >= 0.5) * 2.0,
     ),
     "embedding": (lambda x: ops.embedding(x, ROWS), lambda x: x[ROWS]),
-    "batched_segment_sum": (
-        lambda x: ops.batched_segment_sum(x[None], ROWS[:1, :2], 2),
+    "segment_sum": (
+        lambda x: F.segment_sum(x[None], K.Segments.from_ids(ROWS[:1, :2], 2)),
         lambda x: x[None],
     ),
-    "batched_gather": (lambda x: ops.batched_gather(x[None], ROWS[:1]), lambda x: x[ROWS[:1]]),
+    "segment_gather": (
+        lambda x: F.segment_gather(x[None], K.Segments.from_ids(ROWS[:1], 2)),
+        lambda x: x[ROWS[:1]],
+    ),
 }
 
 

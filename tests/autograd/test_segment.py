@@ -1,67 +1,72 @@
-"""Segment-sum / gather primitives (the embedding-aggregation substrate)."""
+"""Segment-sum / gather kernels (the embedding-aggregation substrate)."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.autograd import Tensor, gradcheck
-from repro.autograd.ops import batched_gather, batched_segment_sum
 from repro.errors import ShapeError
+from repro.kernels import Segments, segment_gather, segment_sum
 
 
 class TestSegmentSum:
     def test_simple_aggregation(self):
         v = Tensor(np.array([[[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]]))
         ids = np.array([[0, 1, 0]])
-        out = batched_segment_sum(v, ids, 2)
+        out = segment_sum(v, Segments.from_ids(ids, 2))
         np.testing.assert_allclose(out.data, [[[6.0, 8.0], [3.0, 4.0]]])
 
     def test_empty_segment_is_zero(self):
         v = Tensor(np.ones((1, 2, 3)))
         ids = np.array([[0, 0]])
-        out = batched_segment_sum(v, ids, 3)
+        out = segment_sum(v, Segments.from_ids(ids, 3))
         np.testing.assert_allclose(out.data[0, 1], 0.0)
         np.testing.assert_allclose(out.data[0, 2], 0.0)
 
     def test_per_batch_independence(self, rng):
         v = rng.standard_normal((2, 4, 3))
         ids = np.array([[0, 0, 1, 1], [1, 1, 0, 0]])
-        out = batched_segment_sum(Tensor(v), ids, 2).data
+        out = segment_sum(Tensor(v), Segments.from_ids(ids, 2)).data
         np.testing.assert_allclose(out[0, 0], v[0, :2].sum(axis=0))
         np.testing.assert_allclose(out[1, 0], v[1, 2:].sum(axis=0))
 
     def test_multi_batch_dims(self, rng):
         v = rng.standard_normal((2, 3, 5, 4))
         ids = rng.integers(0, 3, (2, 3, 5))
-        out = batched_segment_sum(Tensor(v), ids, 3)
+        out = segment_sum(Tensor(v), Segments.from_ids(ids, 3))
         assert out.shape == (2, 3, 3, 4)
 
     def test_shape_mismatch_raises(self, rng):
         with pytest.raises(ShapeError):
-            batched_segment_sum(Tensor(rng.standard_normal((2, 4, 3))), np.zeros((2, 5), int), 2)
+            segment_sum(
+                Tensor(rng.standard_normal((2, 4, 3))), Segments.from_ids(np.zeros((2, 5), int), 2)
+            )
 
     def test_gradient(self, rng):
         v = Tensor(rng.standard_normal((2, 2, 5, 3)), requires_grad=True)
         ids = rng.integers(0, 3, (2, 2, 5))
-        assert gradcheck(lambda v: batched_segment_sum(v, ids, 3), [v])
+        segments = Segments.from_ids(ids, 3)
+        assert gradcheck(lambda v: segment_sum(v, segments), [v])
 
 
 class TestGather:
     def test_gather_rows(self):
         v = Tensor(np.array([[[1.0, 1.0], [2.0, 2.0]]]))
         ids = np.array([[1, 0, 1]])
-        out = batched_gather(v, ids)
+        out = segment_gather(v, Segments.from_ids(ids, 2))
         np.testing.assert_allclose(out.data, [[[2.0, 2.0], [1.0, 1.0], [2.0, 2.0]]])
 
     def test_gradient_scatter_adds(self):
         v = Tensor(np.zeros((1, 2, 2)), requires_grad=True)
         ids = np.array([[1, 1, 0]])
-        batched_gather(v, ids).sum().backward()
+        segment_gather(v, Segments.from_ids(ids, 2)).sum().backward()
         np.testing.assert_allclose(v.grad, [[[1.0, 1.0], [2.0, 2.0]]])
 
     def test_batch_shape_mismatch_raises(self, rng):
         with pytest.raises(ShapeError):
-            batched_gather(Tensor(rng.standard_normal((2, 3, 4))), np.zeros((3, 5), int))
+            segment_gather(
+                Tensor(rng.standard_normal((2, 3, 4))), Segments.from_ids(np.zeros((3, 5), int), 3)
+            )
 
 
 class TestRoundTripProperty:
@@ -76,7 +81,7 @@ class TestRoundTripProperty:
         rng = np.random.default_rng(seed)
         v = rng.standard_normal((1, n, 3))
         ids = rng.integers(0, n_segments, (1, n))
-        fast = batched_segment_sum(Tensor(v), ids, n_segments).data[0]
+        fast = segment_sum(Tensor(v), Segments.from_ids(ids, n_segments)).data[0]
         onehot = np.eye(n_segments)[ids[0]]  # (n, N)
         slow = onehot.T @ v[0]
         np.testing.assert_allclose(fast, slow, atol=1e-12)
@@ -92,10 +97,11 @@ class TestRoundTripProperty:
         rng = np.random.default_rng(seed)
         v = rng.standard_normal((1, n, 2))
         ids = rng.integers(0, n_segments, (1, n))
-        sums = batched_segment_sum(Tensor(v), ids, n_segments).data
+        segments = Segments.from_ids(ids, n_segments)
+        sums = segment_sum(Tensor(v), segments).data
         counts = np.maximum(np.bincount(ids[0], minlength=n_segments), 1)
         means = Tensor(sums / counts[None, :, None])
-        gathered = batched_gather(means, ids).data[0]
+        gathered = segment_gather(means, segments).data[0]
         for segment in range(n_segments):
             members = gathered[ids[0] == segment]
             if len(members) > 1:

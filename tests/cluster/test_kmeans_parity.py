@@ -85,25 +85,22 @@ class TestKMeansAssignKernel:
 class TestSegmentPrimitiveParity:
     @pytest.mark.parametrize("dtype", DTYPES, ids=["float32", "float64"])
     def test_segment_mean_count_max_match_reference(self, rng, dtype):
-        batch, n, d, segments = 4, 50, 5, 7
+        batch, n, d, num_segments = 4, 50, 5, 7
         values = rng.standard_normal((batch, n, d)).astype(dtype)
         scalars = np.abs(rng.standard_normal((batch, n))).astype(dtype)
-        ids = rng.integers(0, segments, size=(batch, n))
+        segments = K.Segments.from_ids(rng.integers(0, num_segments, size=(batch, n)), num_segments)
         ref = K.get_backend("reference")
         fused = K.get_backend("fused")
 
-        ref_mean, ref_counts = ref.segment_mean(values, ids, segments)
-        fused_mean, fused_counts = fused.segment_mean(values, ids, segments)
+        ref_mean, ref_counts = ref.segment_mean(values, segments)
+        fused_mean, fused_counts = fused.segment_mean(values, segments)
         np.testing.assert_array_equal(fused_counts, ref_counts)
         assert_parity(fused_mean, ref_mean, "kernel", dtype)
 
-        np.testing.assert_array_equal(
-            fused.segment_count(ids, segments), ref.segment_count(ids, segments)
-        )
+        np.testing.assert_array_equal(fused.segment_count(segments), ref.segment_count(segments))
         # A maximum rounds nothing, so any order gives the same bits.
         np.testing.assert_array_equal(
-            fused.segment_max(scalars, ids, segments),
-            ref.segment_max(scalars, ids, segments),
+            fused.segment_max(scalars, segments), ref.segment_max(scalars, segments)
         )
 
     @pytest.mark.parametrize("backend", ["reference", "fused"])
@@ -111,14 +108,14 @@ class TestSegmentPrimitiveParity:
         """Segments with no members: zero mean, zero count, ``initial`` max."""
         values = rng.standard_normal((2, 10, 3))
         scalars = np.abs(rng.standard_normal((2, 10)))
-        ids = np.zeros((2, 10), dtype=np.int64)  # everything in segment 0
+        segments = K.Segments.from_ids(np.zeros((2, 10), dtype=np.int64), 4)  # all in 0
         impl = K.get_backend(backend)
-        mean, counts = impl.segment_mean(values, ids, 4)
+        mean, counts = impl.segment_mean(values, segments)
         np.testing.assert_allclose(mean[:, 1:], 0.0)
         np.testing.assert_array_equal(counts[:, 1:], 0)
         np.testing.assert_array_equal(counts[:, 0], 10)
         assert_parity(mean[:, 0], values.mean(axis=1), "kernel", np.float64)
-        maxes = impl.segment_max(scalars, ids, 4, initial=-1.0)
+        maxes = impl.segment_max(scalars, segments, initial=-1.0)
         np.testing.assert_allclose(maxes[:, 1:], -1.0)
         np.testing.assert_array_equal(maxes[:, 0], scalars.max(axis=1))
 
@@ -126,7 +123,7 @@ class TestSegmentPrimitiveParity:
     def test_segment_mean_matches_bincount(self, rng, backend):
         values = rng.standard_normal((1, 30, 2))
         ids = rng.integers(0, 5, size=(1, 30))
-        mean, counts = K.get_backend(backend).segment_mean(values, ids, 5)
+        mean, counts = K.get_backend(backend).segment_mean(values, K.Segments.from_ids(ids, 5))
         expected_counts = np.bincount(ids[0], minlength=5)
         np.testing.assert_array_equal(counts[0], expected_counts)
         for segment in range(5):

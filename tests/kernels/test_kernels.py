@@ -48,28 +48,39 @@ class TestSegmentOps:
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_segment_sum_gradcheck(self, rng, backend):
         values = _tensor(rng, 2, 2, 7, 3)
-        ids = rng.integers(0, 4, size=(2, 2, 7))
+        segments = K.Segments.from_ids(rng.integers(0, 4, size=(2, 2, 7)), 4)
         with K.use_backend(backend):
-            assert gradcheck(lambda v: K.segment_sum(v, ids, 4), [values])
+            assert gradcheck(lambda v: K.segment_sum(v, segments), [values])
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_segment_gather_gradcheck(self, rng, backend):
         values = _tensor(rng, 2, 2, 4, 3)
-        ids = rng.integers(0, 4, size=(2, 2, 7))
+        segments = K.Segments.from_ids(rng.integers(0, 4, size=(2, 2, 7)), 4)
         with K.use_backend(backend):
-            assert gradcheck(lambda v: K.segment_gather(v, ids), [values])
+            assert gradcheck(lambda v: K.segment_gather(v, segments), [values])
 
     def test_segment_sum_matches_dense_onehot(self, rng):
         values = rng.standard_normal((2, 6, 3))
         ids = rng.integers(0, 4, size=(2, 6))
         onehot = np.eye(4)[ids]  # (2, 6, 4)
         dense = np.swapaxes(onehot, -1, -2) @ values
-        out = K.segment_sum(Tensor(values), ids, 4).data
+        out = K.segment_sum(Tensor(values), K.Segments.from_ids(ids, 4)).data
         np.testing.assert_allclose(out, dense, atol=1e-12)
 
     def test_shape_validation(self, rng):
+        segments = K.Segments.from_ids(np.zeros((2, 4), dtype=int), 3)
         with pytest.raises(ShapeError):
-            K.segment_sum(Tensor(rng.standard_normal((2, 5, 3))), np.zeros((2, 4), dtype=int), 3)
+            K.segment_sum(Tensor(rng.standard_normal((2, 5, 3))), segments)
+        with pytest.raises(ShapeError):  # 4 segment rows for a 3-segment partition
+            K.segment_gather(Tensor(rng.standard_normal((2, 4, 3))), segments)
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("bad", [2, -1], ids=["num_segments", "negative"])
+    def test_out_of_range_labels_are_rejected(self, backend, bad):
+        """A label outside [0, N) would land in another row's segments."""
+        values = Tensor(np.arange(6.0).reshape(2, 3, 1))
+        with K.use_backend(backend), pytest.raises(ShapeError, match=r"\[0, 2\)"):
+            K.segment_sum(values, K.Segments.from_ids([[0, 1, bad], [0, 0, 1]], 2))
 
 
 class TestAffineAndNorm:

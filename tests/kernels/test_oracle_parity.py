@@ -4,7 +4,7 @@ The parity matrix checks each kernel on one shape of integer-valued
 inputs.  Here the fused backend meets the oracle on random inputs where
 its batch flattening and run tables could slip: fewer rows than a batch
 axis suggests, broadcast masks, optional arguments left out, 1-D and
-3-D inputs, an empty input, a non-last axis — and then through every
+3-D inputs, empty inputs, a non-last axis — and then through every
 attention mechanism, forward in both dtypes and backward.  Bars come
 from ``tests/tolerances.py``.
 """
@@ -49,8 +49,8 @@ def _counts(rng, shape):
     return rng.integers(1, 4, size=shape).astype(np.float64)
 
 
-def _ids(rng, shape, num_segments=4):
-    return rng.integers(0, num_segments, size=shape)
+def _segments(rng, shape, num_segments=4):
+    return K.Segments.from_ids(rng.integers(0, num_segments, size=shape), num_segments)
 
 
 def _kmeans_with_points_sq(rng):
@@ -67,7 +67,7 @@ def _layer_norm_cache(rng, shape):
 #: (id, method, args from an rng).  Edge geometries the per-kernel parity
 #: tests do not reach: fewer rows than a batch of four, broadcast masks,
 #: optional arguments left out, 3-D row-wise inputs, unbatched 1-D/2-D
-#: inputs, an empty input and a reduction along a non-last axis.
+#: inputs, empty inputs and a reduction along a non-last axis.
 EDGE_CASES = [
     ("softmax-3-rows", "softmax", lambda r: (r.standard_normal((3, 7)), -1)),
     ("log_softmax-3-rows-f32", "log_softmax",
@@ -96,7 +96,7 @@ EDGE_CASES = [
                 r.standard_normal(8))),
     ("kmeans_assign-points-sq", "kmeans_assign", _kmeans_with_points_sq),
     ("segment_sum-4d", "segment_sum",
-     lambda r: (r.standard_normal((2, 3, 9, 2)), _ids(r, (2, 3, 9)), 4)),
+     lambda r: (r.standard_normal((2, 3, 9, 2)), _segments(r, (2, 3, 9)))),
     ("softmax-1d", "softmax", lambda r: (r.standard_normal(7), -1)),
     ("softmax-axis-0", "softmax", lambda r: (r.standard_normal((4, 6)), 0)),
     ("log_softmax-middle-axis", "log_softmax",
@@ -106,17 +106,19 @@ EDGE_CASES = [
     ("layer_norm-1d", "layer_norm",
      lambda r: (r.standard_normal(8), r.standard_normal(8), r.standard_normal(8), 1e-5)),
     ("softmax-empty-(0,5)", "softmax", lambda r: (np.empty((0, 5)), -1)),
+    ("segment_sum-empty-(2,0)", "segment_sum",
+     lambda r: (np.empty((2, 0, 3)), _segments(r, (2, 0)))),
     ("linear-1d", "linear",
      lambda r: (r.standard_normal(6), r.standard_normal((4, 6)), r.standard_normal(4))),
     ("segment_sum-2d", "segment_sum",
-     lambda r: (r.standard_normal((9, 3)), _ids(r, 9), 4)),
+     lambda r: (r.standard_normal((9, 3)), _segments(r, 9))),
     ("segment_gather-2d", "segment_gather",
-     lambda r: (r.standard_normal((4, 3)), _ids(r, 9))),
-    ("segment_count-1d", "segment_count", lambda r: (_ids(r, 9), 4)),
+     lambda r: (r.standard_normal((4, 3)), _segments(r, 9))),
+    ("segment_count-1d", "segment_count", lambda r: (_segments(r, 9),)),
     ("segment_mean-2d", "segment_mean",
-     lambda r: (r.standard_normal((9, 3)), _ids(r, 9), 4)),
+     lambda r: (r.standard_normal((9, 3)), _segments(r, 9))),
     ("segment_max-1d", "segment_max",
-     lambda r: (r.uniform(-2.0, 0.0, 9), _ids(r, 9), 4, -1.0)),
+     lambda r: (r.uniform(-2.0, 0.0, 9), _segments(r, 9), -1.0)),
 ]
 
 

@@ -27,13 +27,13 @@ from repro.attention import (
 from tolerances import assert_parity
 
 
-def _group_attention_output(q, k, v, ids, counts, n_groups):
+def _group_attention_output(q, k, v, segments, counts):
     """The full group-attention math (Alg. 1) on explicit assignments."""
-    key_sums = K.segment_sum(Tensor(k), ids, n_groups)
+    key_sums = K.segment_sum(Tensor(k), segments)
     representatives = key_sums / np.maximum(counts, 1.0).astype(k.dtype)[..., None]
     scores = (Tensor(q) @ representatives.swapaxes(-1, -2)) * (1.0 / math.sqrt(q.shape[-1]))
     attn = K.fused_group_softmax(scores, counts.astype(k.dtype))
-    return (attn @ K.segment_sum(Tensor(v), ids, n_groups)).data
+    return (attn @ K.segment_sum(Tensor(v), segments)).data
 
 
 class TestGroupAttentionDtypeParity:
@@ -42,8 +42,10 @@ class TestGroupAttentionDtypeParity:
         ids = rng.integers(0, 6, size=(2, 2, 32))
         counts = np.apply_along_axis(np.bincount, -1, ids, minlength=6).astype(np.float64)
         assert counts.min() > 1  # every group has several members
-        ref64 = _group_attention_output(q, k, v, ids, counts, 6)
-        out32 = _group_attention_output(*(a.astype(np.float32) for a in (q, k, v)), ids, counts, 6)
+        segments = K.Segments.from_ids(ids, 6)
+        ref64 = _group_attention_output(q, k, v, segments, counts)
+        q32, k32, v32 = (a.astype(np.float32) for a in (q, k, v))
+        out32 = _group_attention_output(q32, k32, v32, segments, counts)
         assert_parity(out32, ref64, "float32 vs float64", np.float32)
 
     def test_mechanism_forward_dtype_follows_inputs(self, rng):

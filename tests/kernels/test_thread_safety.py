@@ -26,8 +26,8 @@ def _make_inputs(seed):
     mask = rng.random((6, 1, 1, 32)) > 0.3
     mask[..., 0] = True  # keep every row non-empty
     values = rng.standard_normal((5, 48, 8))
-    segment_ids = rng.integers(0, 7, size=(5, 48))
-    return x, mask, values, segment_ids
+    segments = K.Segments.from_ids(rng.integers(0, 7, size=(5, 48)), 7)
+    return x, mask, values, segments
 
 
 #: The outputs ``_run_kernels`` returns, in order.
@@ -45,18 +45,18 @@ KERNELS = (
 
 
 def _run_kernels(backend, inputs):
-    x, mask, values, segment_ids = inputs
-    means, counts = backend.segment_mean(values, segment_ids, 7)
+    x, mask, values, segments = inputs
+    means, counts = backend.segment_mean(values, segments)
     centers = values[:, :7].copy()
     points_sq = np.einsum("bnd,bnd->bn", values, values)
     return (
         backend.masked_softmax(x, mask, -1),
         backend.softmax(x, -1),
-        backend.segment_sum(values, segment_ids, 7),
+        backend.segment_sum(values, segments),
         means,
         counts,
         backend.layer_norm(x[0], np.ones(32), np.zeros(32), 1e-5)[0],
-        backend.segment_max(values[..., 0], segment_ids, 7, initial=-1.0),
+        backend.segment_max(values[..., 0], segments, initial=-1.0),
         backend.kmeans_assign(values, centers),
         backend.kmeans_assign(values, centers, points_sq),
     )

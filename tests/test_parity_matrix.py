@@ -182,13 +182,15 @@ def _args(kernel, rng, dtype):
     def ints(*shape):
         return rng.integers(-4, 5, size=shape).astype(dtype)
 
-    ids = functools.partial(rng.integers, 0, 5)
+    def segments(shape, num_segments=6):
+        return K.Segments.from_ids(rng.integers(0, 5, size=shape), num_segments)
+
     return {
-        "segment_sum": lambda: (ints(2, 3, 9, 4), ids((2, 3, 9)), 6),
-        "segment_gather": lambda: (ints(2, 3, 5, 4), ids((2, 3, 9))),
-        "segment_count": lambda: (ids((2, 3, 9)), 6),
-        "segment_max": lambda: (ints(2, 9), ids((2, 9)), 6, -1.0),
-        "segment_mean": lambda: (ints(2, 9, 4), ids((2, 9)), 6),
+        "segment_sum": lambda: (ints(2, 3, 9, 4), segments((2, 3, 9))),
+        "segment_gather": lambda: (ints(2, 3, 5, 4), segments((2, 3, 9), 5)),
+        "segment_count": lambda: (segments((2, 3, 9)),),
+        "segment_max": lambda: (ints(2, 9), segments((2, 9)), -1.0),
+        "segment_mean": lambda: (ints(2, 9, 4), segments((2, 9))),
         "kmeans_assign": lambda: (ints(3, 9, 4), ints(3, 5, 4)),
         "linear": lambda: (ints(2, 5, 6), ints(4, 6), ints(4)),
         "linear_backward": lambda: (ints(2, 5, 4), ints(2, 5, 6), ints(4, 6), True),
